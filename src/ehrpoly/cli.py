@@ -15,28 +15,17 @@ bytes for identical invocations.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import constructions as cons
 from . import jsonio, svg, verify
 from .ehrhart import ehrhart, mcmullen_indices
 from .geometry import area, boundary_count, interior_count
-from .sampling import random_polygon, trial_rng
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _threads() -> int:
-    raw = os.environ.get("EHRHART_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -156,49 +145,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    workers = _threads()
-    if workers > 1:
-        # trials are independent streams keyed by (seed, index); collect in
-        # index order so the report is identical to a serial run
-        report = cons.SearchReport(args.seed, args.trials,
+    report = cons.scott_pip_search(args.seed, args.trials,
                                    args.max_denominator, args.coord_bound)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            polys = list(pool.map(
-                lambda i: random_polygon(trial_rng(args.seed, i),
-                                         args.max_denominator, args.coord_bound),
-                range(args.trials)))
-        from .ehrhart import is_pip
-        from .geometry import boundary_count as bc, interior_count as ic
-        for P in polys:
-            if P is None:
-                continue
-            report.polygons_tested += 1
-            if not is_pip(P):
-                continue
-            report.pips_found += 1
-            I, b = ic(P, 1), bc(P, 1)
-            report.census[(I, b)] = report.census.get((I, b), 0) + 1
-            if not cons.scott_inequality_holds(I, b):
-                report.counterexamples.append(P)
-            if I >= 1 and b > 2 * I + 7:
-                report.counterexamples_weak.append(P)
-    else:
-        report = cons.scott_pip_search(args.seed, args.trials,
-                                       args.max_denominator, args.coord_bound)
     _write_out(jsonio.dumps(jsonio.search_report_to_json(report)), args.output)
     return EXIT_FAIL if report.counterexamples else EXIT_OK
 
 
 def _panel_from_json(obj, path: str) -> svg.Panel:
+    if not isinstance(obj, dict):
+        raise jsonio.ParseError(path, f"expected an object, got {type(obj).__name__}")
     label = obj.get("label", "")
     region = jsonio.region_from_json(obj.get("region", obj), f"{path}.region")
-    lines = []
-    for i, ln in enumerate(obj.get("splitting_lines", [])):
-        anchor = jsonio.vertex_from_json(ln["anchor"], f"{path}.splitting_lines[{i}].anchor")
-        d = ln["direction"]
-        lines.append((anchor, (int(d[0]), int(d[1]))))
+    lines = [jsonio.splitting_line_from_json(ln, f"{path}.splitting_lines[{i}]")
+             for i, ln in enumerate(jsonio.list_from_json(obj, "splitting_lines", path))]
     pieces = [jsonio.polygon_from_json(p, f"{path}.pieces[{i}]")
-              for i, p in enumerate(obj.get("pieces", []))]
+              for i, p in enumerate(jsonio.list_from_json(obj, "pieces", path))]
     return svg.Panel(region, label, lines, pieces)
 
 
@@ -208,10 +169,10 @@ def cmd_render(args) -> int:
         raise jsonio.ParseError("document", "expected a JSON object")
     if "panels" in doc:
         panels = [_panel_from_json(p, f"panels[{i}]")
-                  for i, p in enumerate(doc["panels"])]
+                  for i, p in enumerate(jsonio.list_from_json(doc, "panels", "document"))]
     elif "steps" in doc:
         panels = []
-        for i, step in enumerate(doc["steps"]):
+        for i, step in enumerate(jsonio.list_from_json(doc, "steps", "document")):
             panels.append(_panel_from_json(step, f"steps[{i}]"))
             panels[-1].label = step.get("label", f"step {i}")
     else:

@@ -333,10 +333,8 @@ def glued_count_identity(s: int, t: int, n_max: int | None = None) -> bool:
 
 def scott_admissible(I: int, b: int) -> bool:
     """Whether (I, b) is the lattice-point signature of some integral polygon:
-    b >= 3 and (I = 0, or (I, b) = (1, 9), or b <= 2I + 6)."""
-    if I < 0 or b < 0:
-        return False
-    return b >= 3 and (I == 0 or (I, b) == (1, 9) or b <= 2 * I + 6)
+    b >= 3 and Scott's inequality."""
+    return I >= 0 and b >= 3 and scott_inequality_holds(I, b)
 
 
 def scott_inequality_holds(I: int, b: int) -> bool:

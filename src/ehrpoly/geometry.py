@@ -86,7 +86,8 @@ class Polygon:
     Vertices are canonicalized to start at the lexicographically smallest
     vertex, so two polygons are equal iff they are the same point set.
     Construction rejects repeated vertices, collinear triples, clockwise
-    order and anything contained in a line.
+    order, boundaries that wind more than once (a pentagram turns left at
+    every vertex) and anything contained in a line.
     """
 
     __slots__ = ("vertices",)
@@ -104,6 +105,12 @@ class Polygon:
                 raise DegenerateInput("three consecutive collinear vertices")
             if turn < 0:
                 raise DegenerateInput("vertices are not in counterclockwise order")
+        # with every turn left and below a half turn, the edge direction
+        # passes the +x axis once per winding; a convex boundary winds once
+        up = [b[1] > a[1] or (b[1] == a[1] and b[0] > a[0])
+              for a, b in zip(verts, verts[1:] + verts[:1])]
+        if sum(up[i] and not up[i - 1] for i in range(m)) != 1:
+            raise DegenerateInput("vertices wind around more than once")
         start = min(range(m), key=lambda i: verts[i])
         self.vertices: tuple[Point, ...] = verts[start:] + verts[:start]
 

@@ -96,10 +96,18 @@ def region_to_json(R: SemiOpenRegion) -> dict:
     return out
 
 
+def list_from_json(obj: dict, key: str, path: str) -> list:
+    """The list at obj[key], or [] when the key is absent."""
+    raw = obj.get(key, [])
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}.{key}", f"expected a list, got {type(raw).__name__}")
+    return raw
+
+
 def region_from_json(obj, path: str = "region") -> SemiOpenRegion:
     P = polygon_from_json(obj, path)
     removed = []
-    for i, raw in enumerate(obj.get("removed", [])):
+    for i, raw in enumerate(list_from_json(obj, "removed", path)):
         p = f"{path}.removed[{i}]"
         if not isinstance(raw, dict) or "open" not in raw or "closed" not in raw:
             raise ParseError(p, 'expected {"open": vertex, "closed": vertex}')
@@ -142,6 +150,17 @@ def trace_to_json(trace: ConstructionTrace) -> dict:
             "ehrhart": quasi_to_json(s.quasi),
         })
     return {"steps": steps, "final": polygon_to_json(trace.final)}
+
+
+def splitting_line_from_json(obj, path: str) -> tuple[Point, tuple[int, int]]:
+    if not isinstance(obj, dict) or "anchor" not in obj or "direction" not in obj:
+        raise ParseError(path, 'expected {"anchor": vertex, "direction": ["dx", "dy"]}')
+    d = obj["direction"]
+    if not isinstance(d, list) or len(d) != 2:
+        raise ParseError(f"{path}.direction", f'expected ["dx", "dy"], got {d!r}')
+    return (vertex_from_json(obj["anchor"], f"{path}.anchor"),
+            (_parse_int(d[0], f"{path}.direction[0]"),
+             _parse_int(d[1], f"{path}.direction[1]")))
 
 
 def search_report_to_json(r: SearchReport) -> dict:

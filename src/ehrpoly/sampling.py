@@ -15,6 +15,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 
+def _mix(z: int) -> int:
+    """The SplitMix64 finalizer, a bijection of 64-bit words."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """SplitMix64: state += golden; output = mix(state). Fixed constants."""
 
@@ -23,10 +30,7 @@ class SplitMix64:
 
     def next(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def below(self, m: int) -> int:
         """Uniform-ish integer in [0, m); modulo bias is irrelevant here."""
@@ -37,8 +41,13 @@ class SplitMix64:
 
 
 def trial_rng(seed: int, trial: int) -> SplitMix64:
-    """Independent stream for one trial; scheduling-order independent."""
-    return SplitMix64((seed + trial * _GOLDEN) & _MASK)
+    """Independent stream for one trial; scheduling-order independent.
+
+    The start state mixes (seed, trial) through the finalizer.  Starting at
+    seed + trial * golden instead would make each trial's stream the next
+    one's shifted by a single draw.
+    """
+    return SplitMix64(_mix((_mix(seed & _MASK) + trial) & _MASK))
 
 
 def random_polygon(rng: SplitMix64, max_denominator: int, coord_bound: int) -> Polygon | None:

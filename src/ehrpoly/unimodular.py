@@ -10,11 +10,12 @@ the primitive direction matters).  The one-sided variants act on a single
 halfplane and are glued with the identity along the splitting line, which
 makes them lattice-count preserving homeomorphisms of the plane.
 
-`apply_piecewise` pushes a semi-open region through such a map: it clips the
-region by the splitting line, maps each closed piece, and reassembles.  A
-removed half-open segment whose image is covered by the other piece is
-dropped (the other preimage still supplies those points), which is exactly
-how a semi-open construction chain can end in a genuinely closed polygon.
+`apply_disjoint` pushes a semi-open region through such maps: it cuts the
+region by every splitting line, maps each closed cell, and reassembles;
+`apply_piecewise` is its one-line case.  A removed half-open segment whose
+image is covered by another piece is dropped (the other preimage still
+supplies those points), which is exactly how a semi-open construction chain
+can end in a genuinely closed polygon.
 """
 from __future__ import annotations
 
@@ -38,7 +39,13 @@ from .geometry import (
     vec_add,
     vec_sub,
 )
-from .regions import HalfOpenSegment, InvalidRegion, RegionUnion, SemiOpenRegion
+from .regions import (
+    HalfOpenSegment,
+    InvalidRegion,
+    RegionUnion,
+    SemiOpenRegion,
+    _segments_overlap,
+)
 
 
 class CoincidentPoints(GeometryError):
@@ -267,11 +274,6 @@ def _segment_inside(seg: HalfOpenSegment, P: Polygon) -> bool:
     return P.contains(seg.open_end) and P.contains(seg.closed_end)
 
 
-def _collinear_overlap(a: HalfOpenSegment, b: HalfOpenSegment) -> bool:
-    from .regions import _segments_overlap
-    return _segments_overlap(a, b)
-
-
 def _merge_removed(segs: list[HalfOpenSegment]) -> list[HalfOpenSegment]:
     """Chain collinear (a, c] + (c, b] into (a, b]; drop exact duplicates."""
     out: list[HalfOpenSegment] = []
@@ -326,7 +328,7 @@ def _reassemble(mapped: list[tuple[Polygon, list[HalfOpenSegment]]],
                         continue
                     if not _segment_inside(g, Pj):
                         continue
-                    if any(_collinear_overlap(g, h) for h in segs_j):
+                    if any(_segments_overlap(g, h) for h in segs_j):
                         continue
                     covered = True
                     break
@@ -346,37 +348,7 @@ def apply_piecewise(m: PiecewiseUnimodularMap, R):
     Returns a SemiOpenRegion when the image is convex (a closed Polygon is
     just a region with nothing removed), otherwise a RegionUnion.
     """
-    if isinstance(R, Polygon):
-        R = SemiOpenRegion(R)
-    if not isinstance(R, SemiOpenRegion):
-        raise InvalidRegion(f"apply_piecewise expects a region, got {type(R).__name__}")
-    pos_piece, neg_piece, chord = _split_polygon(R.closed, m.anchor, m.direction)
-    sided_segments: dict[int, list[HalfOpenSegment]] = {1: [], -1: []}
-    for seg in R.removed:
-        for sign, sub in _split_segment(seg, m):
-            sided_segments[sign].append(sub)
-
-    # a side without area can still be assigned segments, but only ones on
-    # the splitting line, where both side maps agree: hand them across
-    for sign, piece in ((1, pos_piece), (-1, neg_piece)):
-        if piece is None:
-            sided_segments[-sign].extend(sided_segments[sign])
-            sided_segments[sign] = []
-
-    mapped: list[tuple[Polygon, list[HalfOpenSegment]]] = []
-    seam = None
-    for sign, piece in ((1, pos_piece), (-1, neg_piece)):
-        if piece is None:
-            continue
-        amap = m.side_map(sign)
-        mapped.append((
-            Polygon([amap.apply(v) for v in piece.vertices]),
-            [_map_segment(s, amap) for s in sided_segments[sign]]))
-    if chord is not None:
-        # both side maps agree on the chord; map it through either
-        amap = m.positive_side_map
-        seam = (amap.apply(chord[0]), amap.apply(chord[1]))
-    return _reassemble(mapped, seam)
+    return apply_disjoint([m], R)
 
 
 def apply_to_polygon(m: PiecewiseUnimodularMap, P: Polygon) -> Polygon:
@@ -393,40 +365,51 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
     The region is cut by all splitting lines; each cell may be moved by at
     most one of the maps (checked), the rest act as the identity there.
     This is the cell-wise action of a piecewise map with several lines, not
-    the composition of the individual maps.
+    the composition of the individual maps.  When a single cut splits the
+    region, its chord is the seam of a non-convex image.
     """
     if isinstance(R, Polygon):
         R = SemiOpenRegion(R)
+    if not isinstance(R, SemiOpenRegion):
+        raise InvalidRegion(f"apply_disjoint expects a region, got {type(R).__name__}")
     cells: list[tuple[Polygon, list[HalfOpenSegment], tuple[int, ...]]] = [
         (R.closed, list(R.removed), ())]
+    chords: list[tuple[Point, Point]] = []
     for m in maps:
         nxt = []
         for poly, segs, signs in cells:
-            pos_piece, neg_piece, _ = _split_polygon(poly, m.anchor, m.direction)
+            pos_piece, neg_piece, chord = _split_polygon(poly, m.anchor, m.direction)
+            if chord is not None:
+                chords.append(chord)
             sided: dict[int, list[HalfOpenSegment]] = {1: [], -1: []}
             for seg in segs:
                 for sign, sub in _split_segment(seg, m):
                     sided[sign].append(sub)
-            if pos_piece is None:
-                sided[-1].extend(sided[1])
-                sided[1] = []
-            if neg_piece is None:
-                sided[1].extend(sided[-1])
-                sided[-1] = []
+            # a side without area can still be assigned segments, but only ones
+            # on the splitting line, where both side maps agree: hand them across
+            for sign, piece in ((1, pos_piece), (-1, neg_piece)):
+                if piece is None:
+                    sided[-sign].extend(sided[sign])
+                    sided[sign] = []
             for sign, piece in ((1, pos_piece), (-1, neg_piece)):
                 if piece is not None:
                     nxt.append((piece, sided[sign], signs + (sign,)))
         cells = nxt
-    mapped: list[tuple[Polygon, list[HalfOpenSegment]]] = []
-    for poly, segs, signs in cells:
+    amaps: list[AffineUnimodular] = []
+    for _, _, signs in cells:
         acting = [m.side_map(s) for m, s in zip(maps, signs) if not m.side_map(s).is_identity]
         if len(acting) > 1:
             raise InvalidRegion("maps act on overlapping cells")
-        amap = acting[0] if acting else IDENTITY
-        mapped.append((
-            Polygon([amap.apply(v) for v in poly.vertices]),
-            [_map_segment(s, amap) for s in segs]))
-    return _reassemble(mapped, None)
+        amaps.append(acting[0] if acting else IDENTITY)
+    mapped = [(Polygon([amap.apply(v) for v in poly.vertices]),
+               [_map_segment(s, amap) for s in segs])
+              for (poly, segs, _), amap in zip(cells, amaps)]
+    seam = None
+    if len(chords) == 1:
+        # the two cells meet along the chord, where their maps agree; the
+        # first (positive side) cell's map carries it
+        seam = (amaps[0].apply(chords[0][0]), amaps[0].apply(chords[0][1]))
+    return _reassemble(mapped, seam)
 
 
 def iterate(m: PiecewiseUnimodularMap, k: int, R):

@@ -14,7 +14,6 @@ from . import constructions as cons
 from . import geometry as geo
 from .ehrhart import ehrhart, is_pip, mcmullen_indices, period_sequence
 from .jsonio import polygon_to_json
-from .regions import region_count
 from .sampling import polygon_corpus
 from .unimodular import skew, skew_minus, skew_plus
 
@@ -41,6 +40,7 @@ class _Suite:
 def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
     """The b in {1, 2} pseudo-integral families and their count laws."""
     s = _Suite("pip")
+    members = []  # (I, polygon) of both families, for the pick/scaling checks
     for I in range(1, max_I + 1):
         kite = cons.pip_b2(I)
         half = cons.pip_b2_half(I)
@@ -72,12 +72,12 @@ def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
             for n in range(1, bound + 1))
         s.check(f"b1[I={I}] count = (I-1/2)n^2 + n/2 + 1", closed_ok)
         s.check(f"b1[I={I}] chain preserves counts", trace.counts_preserved())
-    for I in range(1, max_I + 1):
-        for P in (cons.pip_b2(I), cons.pip_b1(I).final):
-            Ic, b = geo.interior_count(P, 1), geo.boundary_count(P, 1)
-            s.check(f"pick/scaling I={I} b={b}",
-                    geo.area(P) == Ic + Fraction(b, 2) - 1
-                    and all(geo.boundary_count(P, n) == n * b for n in range(1, max_n + 1)))
+        members += [(I, kite), (I, P)]
+    for I, P in members:
+        Ic, b = geo.interior_count(P, 1), geo.boundary_count(P, 1)
+        s.check(f"pick/scaling I={I} b={b}",
+                geo.area(P) == Ic + Fraction(b, 2) - 1
+                and all(geo.boundary_count(P, n) == n * b for n in range(1, max_n + 1)))
     return s.report()
 
 
@@ -165,11 +165,8 @@ def verify_transforms(max_I: int = 4, samples: int = 20) -> dict:
     for I in range(1, max_I + 1):
         trace = cons.pip_b1(I)
         bound = 3 * trace.max_denominator()
-        ref = [region_count(trace.steps[0].region, n) for n in range(1, bound + 1)]
-        ok = all(
-            [region_count(st.region, n) for n in range(1, bound + 1)] == ref
-            for st in trace.steps[1:])
-        s.check(f"pip_b1({I}) chain lattice-preserving up to n={bound}", ok)
+        s.check(f"pip_b1({I}) chain lattice-preserving up to n={bound}",
+                trace.counts_preserved(bound))
     return s.report()
 
 

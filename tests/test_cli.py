@@ -8,6 +8,7 @@ from ehrpoly.cli import main
 from ehrpoly.jsonio import dumps, polygon_to_json
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+SQUARE_JSON = polygon_to_json(SQUARE)
 
 
 def run(capsys, *argv):
@@ -143,14 +144,6 @@ def test_search_deterministic_and_exit_zero(tmp_path, capsys):
     assert doc["trials"] == 80 and doc["counterexamples"] == []
 
 
-def test_search_threaded_matches_serial(tmp_path, capsys, monkeypatch):
-    serial, threaded = tmp_path / "s.json", tmp_path / "t.json"
-    run(capsys, "search", "--seed", "5", "--trials", "60", "-o", str(serial))
-    monkeypatch.setenv("EHRHART_THREADS", "4")
-    run(capsys, "search", "--seed", "5", "--trials", "60", "-o", str(threaded))
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_render_square(tmp_path, capsys):
     f = tmp_path / "square.json"
     f.write_text(dumps(polygon_to_json(SQUARE)))
@@ -191,6 +184,32 @@ def test_render_heptagon_decomposition(tmp_path, capsys):
     assert code == 0
     svg = out_svg.read_text()
     assert "H (s=3)" in svg and "H&apos;" in svg or "H'" in svg
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"vertices": SQUARE_JSON["vertices"], "removed": 5}, "document.region.removed"),
+    ({"vertices": SQUARE_JSON["vertices"],
+      "splitting_lines": [{"anchor": SQUARE_JSON["vertices"][0], "direction": 7}]},
+     "document.splitting_lines[0].direction"),
+    ({"panels": [5]}, "panels[0]"),
+    ({"steps": 5}, "document.steps"),
+])
+def test_render_malformed_document_exits_2_naming_the_field(tmp_path, capsys, doc, field):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "render", str(f), str(tmp_path / "out.svg"))
+    assert code == 2
+    assert err.startswith(f"error: {field}:")
+
+
+def test_analyze_pentagram_exits_2(tmp_path, capsys):
+    f = tmp_path / "star.json"
+    star = [[[str(x), "1"], [str(y), "1"]]
+            for x, y in ((0, 10), (-6, -8), (10, 3), (-10, 3), (6, -8))]
+    f.write_text(json.dumps({"vertices": star}))
+    code, _, err = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert "polygon.vertices" in err and "wind" in err
 
 
 def test_construct_byte_identical_runs(capsys):

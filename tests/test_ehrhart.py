@@ -172,9 +172,17 @@ class TestGeneratingFunction:
             gf_series_check(triangle_q((0, 0), 4), 4, 8)
 
 
-def test_leading_coefficient_is_area_within_one_percent_at_large_n():
+def test_leading_coefficient_is_area_up_to_row_count_bound():
+    # Count nP row by row.  The row at integer height y is an interval of
+    # length l(y) and holds between l(y) - 1 and l(y) + 1 lattice points;
+    # nP has at most n*h + 1 such rows.  The width l is concave, so
+    # unimodal and at most n*w, and summing it over the integer heights of
+    # each monotone part misses its integral by at most n*w.  Together:
+    #     |L(n) - n^2 * area| <= n*(h + 2w) + 1,
+    # with w, h the sides of P's bounding box.
     for P in polygon_corpus(77, 10, max_denominator=5, coord_bound=4):
         D = denominator(P)
         n = 100 * D
-        ratio = F(lattice_count(P, n), n * n)
-        assert abs(ratio - area(P)) <= area(P) / 100
+        x0, y0, x1, y1 = P.bounding_box()
+        bound = n * ((y1 - y0) + 2 * (x1 - x0)) + 1
+        assert abs(lattice_count(P, n) - n * n * area(P)) <= bound

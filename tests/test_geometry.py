@@ -69,6 +69,29 @@ class TestConvexHull:
         with pytest.raises(DegenerateInput):
             Polygon([(0, 0), (0, 1), (1, 0)])
 
+    def test_pentagram_rejected(self):
+        # every turn is left, but the boundary winds around twice
+        star = [(0, 10), (-6, -8), (10, 3), (-10, 3), (6, -8)]
+        for k in range(5):
+            with pytest.raises(DegenerateInput, match="wind"):
+                Polygon(star[k:] + star[:k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(frac6, frac6), min_size=3, max_size=12), st.randoms())
+    def test_only_rotations_of_the_hull_order_accepted(self, pts, rnd):
+        try:
+            h = convex_hull(pts)
+        except DegenerateInput:
+            return
+        order = list(h.vertices)
+        rnd.shuffle(order)
+        k = order.index(h.vertices[0])
+        if order[k:] + order[:k] == list(h.vertices):
+            assert Polygon(order) == h
+        else:
+            with pytest.raises(DegenerateInput):
+                Polygon(order)
+
 
 class TestArea:
     def test_unit_square(self):

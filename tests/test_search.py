@@ -7,7 +7,7 @@ from ehrpoly import (
     scott_pip_search,
 )
 from ehrpoly.jsonio import dumps, search_report_to_json
-from ehrpoly.sampling import SplitMix64, trial_rng
+from ehrpoly.sampling import SplitMix64, _mix, trial_rng
 
 
 def test_zero_trials_gives_empty_report():
@@ -29,9 +29,20 @@ def test_different_seeds_differ():
 
 
 def test_trial_streams_are_position_independent():
-    # drawing trial k's stream never depends on earlier trials
+    # trial k's stream is a function of (seed, k) alone: its start state is
+    # the finalizer of mix(seed) + k, pinned here by formula and by value
     direct = trial_rng(5, 17)
-    assert SplitMix64(5 + 17 * 0x9E3779B97F4A7C15).next() == direct.next()
+    assert direct.state == _mix(_mix(5) + 17)
+    assert SplitMix64(_mix(_mix(5) + 17)).next() == direct.next() == 10884063592994707696
+
+
+def test_adjacent_trials_share_no_shifted_run():
+    # a stream that restarts one step later would repeat the previous
+    # trial's outputs; 64-bit outputs make any shared value a shifted run
+    for seed in (1, 5, 2024):
+        for i in range(20):
+            a, b = trial_rng(seed, i), trial_rng(seed, i + 1)
+            assert not {a.next() for _ in range(32)} & {b.next() for _ in range(32)}
 
 
 def test_constructed_families_are_never_counterexamples():

@@ -222,6 +222,25 @@ class TestApplyDisjoint:
         with pytest.raises(InvalidRegion):
             apply_disjoint([skew_plus((0, -1)), skew_plus((0, -1))], T)
 
+    def test_single_cut_keeps_the_mapped_chord_as_seam(self):
+        # the right half of the square is sheared, then both halves are
+        # translated by (1, 1): the image is not convex, and the seam is the
+        # chord x = 0 moved with them
+        shift = AffineUnimodular(1, 0, 0, 1, 1, 1)
+        m = PiecewiseUnimodularMap((0, 0), (0, -1), shift.compose(skew((0, -1))), shift)
+        big = Polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        out = apply_disjoint([m], big)
+        assert isinstance(out, RegionUnion)
+        assert out.seams == ((point(1, 0), point(1, 2)),)
+        for n in range(1, 8):
+            assert out.count(n) == lattice_count(big, n)
+
+    def test_region_union_input_rejected(self):
+        union = apply_piecewise(skew_plus((0, -1)),
+                                Polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)]))
+        with pytest.raises(InvalidRegion):
+            apply_disjoint([skew_plus((1, 0))], union)
+
     def test_single_map_matches_apply_piecewise(self):
         T = region([(0, 0), (1, 1), (-1, 0)], [((0, 0), (1, 1))])
         assert apply_disjoint([skew_plus((0, -1))], T) == apply_piecewise(skew_plus((0, -1)), T)
