@@ -151,10 +151,13 @@ def cmd_search(args) -> int:
     return EXIT_FAIL if report.counterexamples else EXIT_OK
 
 
-def _panel_from_json(obj, path: str) -> svg.Panel:
+def _panel_from_json(obj, path: str, default_label: str = "") -> svg.Panel:
     if not isinstance(obj, dict):
         raise jsonio.ParseError(path, f"expected an object, got {type(obj).__name__}")
-    label = obj.get("label", "")
+    label = obj.get("label", default_label)
+    if not isinstance(label, str):
+        raise jsonio.ParseError(f"{path}.label",
+                                f"expected a string, got {type(label).__name__}")
     region = jsonio.region_from_json(obj.get("region", obj), f"{path}.region")
     lines = [jsonio.splitting_line_from_json(ln, f"{path}.splitting_lines[{i}]")
              for i, ln in enumerate(jsonio.list_from_json(obj, "splitting_lines", path))]
@@ -171,10 +174,8 @@ def cmd_render(args) -> int:
         panels = [_panel_from_json(p, f"panels[{i}]")
                   for i, p in enumerate(jsonio.list_from_json(doc, "panels", "document"))]
     elif "steps" in doc:
-        panels = []
-        for i, step in enumerate(jsonio.list_from_json(doc, "steps", "document")):
-            panels.append(_panel_from_json(step, f"steps[{i}]"))
-            panels[-1].label = step.get("label", f"step {i}")
+        panels = [_panel_from_json(step, f"steps[{i}]", f"step {i}")
+                  for i, step in enumerate(jsonio.list_from_json(doc, "steps", "document"))]
     else:
         panels = [_panel_from_json(doc, "document")]
     _write_out(svg.render_panels(panels), args.output)

@@ -169,6 +169,26 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
+def _monotone_chain(pts: Sequence) -> list:
+    """Hull vertices of sorted distinct points, counterclockwise from the
+    smallest, collinear points dropped (Andrew's monotone chain).
+
+    Works on any numeric pairs, since `cross` is generic.  A collinear set
+    gives its two ends, a single point or an empty set gives [].
+    """
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def convex_hull(points: Iterable) -> Polygon:
     """Convex hull via monotone chain; collinear points are dropped.
 
@@ -178,35 +198,10 @@ def convex_hull(points: Iterable) -> Polygon:
     pts = sorted({point(p[0], p[1]) for p in points})
     if len(pts) < 3:
         raise DegenerateInput("hull needs at least 3 distinct points")
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    verts = lower[:-1] + upper[:-1]
+    verts = _monotone_chain(pts)
     if len(verts) < 3:
         raise DegenerateInput("all points collinear")
     return Polygon(verts)
-
-
-def hull_of_lattice_points(points: Sequence[Point]):
-    """Hull of a finite lattice point set, degenerate cases allowed.
-
-    Returns a Polygon for a 2-dimensional set, otherwise the sorted tuple of
-    extreme points (2 for a segment, 1 for a point, 0 for empty).
-    """
-    pts = sorted(set(points))
-    if not pts:
-        return ()
-    try:
-        return convex_hull(pts)
-    except DegenerateInput:
-        return (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
 
 
 def area(P: Polygon) -> Fraction:
@@ -534,16 +529,29 @@ class IntegralHull:
     __slots__ = ("dim", "vertices", "polygon")
 
     def __init__(self, lattice_pts: Sequence[tuple[int, int]]):
-        pts = [point(x, y) for x, y in lattice_pts]
-        h = hull_of_lattice_points(pts)
-        if isinstance(h, Polygon):
+        # the hull of a row's points is the segment between its two ends,
+        # so only the leftmost and rightmost point of each row can be a
+        # vertex; the chain runs on those, as ints
+        left: dict[int, int] = {}
+        right: dict[int, int] = {}
+        for x, y in lattice_pts:
+            if x < left.get(y, x + 1):
+                left[y] = x
+            if x > right.get(y, x - 1):
+                right[y] = x
+        pts = sorted({(x, y) for y, x in left.items()}
+                     | {(x, y) for y, x in right.items()})
+        verts = _monotone_chain(pts)
+        if len(verts) >= 3:
             self.dim = 2
-            self.polygon: Polygon | None = h
-            self.vertices = h.vertices
+            self.polygon: Polygon | None = Polygon(verts)
+            self.vertices = self.polygon.vertices
         else:
-            self.dim = len(h) - 1 if h else -1
+            # the lexicographic ends of P ∩ Z^2 are row ends, so they survive
+            ends = pts if len(pts) < 2 else [pts[0], pts[-1]]
+            self.dim = len(ends) - 1
             self.polygon = None
-            self.vertices = h
+            self.vertices = tuple(point(x, y) for x, y in ends)
 
     @property
     def is_degenerate(self) -> bool:

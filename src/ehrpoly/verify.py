@@ -37,8 +37,17 @@ class _Suite:
         }
 
 
+def _require_at_least(name: str, value: int, least: int) -> None:
+    """Refuse a bound below the first value the suite iterates over, which
+    would leave checks that pass vacuously."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
     """The b in {1, 2} pseudo-integral families and their count laws."""
+    _require_at_least("max_I", max_I, 1)
+    _require_at_least("max_n", max_n, 1)
     s = _Suite("pip")
     members = []  # (I, polygon) of both families, for the pick/scaling checks
     for I in range(1, max_I + 1):
@@ -82,6 +91,7 @@ def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
 
 
 def verify_heptagon(max_s: int = 6) -> dict:
+    _require_at_least("max_s", max_s, 2)
     s = _Suite("heptagon")
     for sv in range(2, max_s + 1):
         H = cons.heptagon(sv)
@@ -95,6 +105,8 @@ def verify_heptagon(max_s: int = 6) -> dict:
 
 
 def verify_glue(max_s: int = 5, max_t: int = 5) -> dict:
+    _require_at_least("max_s", max_s, 2)
+    _require_at_least("max_t", max_t, 2)
     s = _Suite("glue")
     for sv in range(2, max_s + 1):
         for tv in range(2, max_t + 1):
@@ -115,6 +127,7 @@ def verify_glue(max_s: int = 5, max_t: int = 5) -> dict:
 def verify_mcmullen(trials: int = 200, seed: int = 2024,
                     max_denominator: int = 6, coord_bound: int = 5) -> dict:
     """Coefficient periods divide the face indices on a random corpus."""
+    _require_at_least("trials", trials, 1)
     s = _Suite("mcmullen")
     corpus = polygon_corpus(seed, trials, max_denominator, coord_bound)
     bad_div = []
@@ -141,6 +154,7 @@ def verify_mcmullen(trials: int = 200, seed: int = 2024,
 
 def verify_transforms(max_I: int = 4, samples: int = 20) -> dict:
     """Skew transform algebra and lattice preservation along the chains."""
+    _require_at_least("max_I", max_I, 1)
     s = _Suite("transforms")
     dirs = [(1, 0), (0, -1), (2, 3), (-3, 5), (Fraction(3, 2), Fraction(3, 4)),
             (-1, -1), (7, -2)]

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
@@ -125,6 +126,21 @@ def test_verify_glue_passes(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("pip", "--max-I", "-1"),
+    ("pip", "--max-n", "0"),
+    ("heptagon", "--max-s", "1"),
+    ("glue", "--max-s", "1"),
+    ("glue", "--max-t", "1"),
+    ("transforms", "--max-I", "0"),
+    ("mcmullen", "--trials", "-1"),
+])
+def test_verify_refuses_vacuous_bounds(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be at least" in err
+
+
 def test_verify_transforms_passes(capsys):
     code, out, _ = run(capsys, "verify", "transforms", "--max-I", "2")
     assert code == 0 and json.loads(out)["passed"] is True
@@ -186,6 +202,17 @@ def test_render_heptagon_decomposition(tmp_path, capsys):
     assert "H (s=3)" in svg and "H&apos;" in svg or "H'" in svg
 
 
+def test_render_escapes_label_text(tmp_path, capsys):
+    f = tmp_path / "labelled.json"
+    f.write_text(json.dumps({"vertices": SQUARE_JSON["vertices"], "label": "a<b & c"}))
+    out_svg = tmp_path / "labelled.svg"
+    code, _, _ = run(capsys, "render", str(f), str(out_svg))
+    assert code == 0
+    root = ET.parse(out_svg).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["a<b & c"]
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"vertices": SQUARE_JSON["vertices"], "removed": 5}, "document.region.removed"),
     ({"vertices": SQUARE_JSON["vertices"],
@@ -193,6 +220,8 @@ def test_render_heptagon_decomposition(tmp_path, capsys):
      "document.splitting_lines[0].direction"),
     ({"panels": [5]}, "panels[0]"),
     ({"steps": 5}, "document.steps"),
+    ({"vertices": SQUARE_JSON["vertices"], "label": 5}, "document.label"),
+    ({"steps": [{"vertices": SQUARE_JSON["vertices"], "label": ["T1"]}]}, "steps[0].label"),
 ])
 def test_render_malformed_document_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     f = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ehrpoly import (
     DegenerateInput,
@@ -235,7 +235,55 @@ class TestSegments:
             assert sorted(pts) == sorted(brute)
 
 
+def _fraction_hull(P):
+    """(dim, vertices, polygon) of the integral hull built as a Fraction
+    hull of every lattice point of P: the reference for `integral_hull`."""
+    pts = sorted({point(x, y) for x, y in lattice_points(P, 1)})
+    try:
+        h = convex_hull(pts)
+    except DegenerateInput:
+        ends = tuple(pts) if len(pts) < 2 else (pts[0], pts[-1])
+        return len(ends) - 1, ends, None
+    return 2, h.vertices, h
+
+
+@st.composite
+def rational_polygons(draw):
+    """Random rational polygons with denominators <= 6; about half are thin
+    (a band of height 1 around a lattice line), sheared or turned upright."""
+    thin = draw(st.booleans())
+    ys = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=6) if thin else frac6
+    pts = draw(st.lists(st.tuples(frac6, ys), min_size=3, max_size=10))
+    k = draw(st.integers(min_value=-2, max_value=2))
+    pts = [(x, y + k * x) for x, y in pts]
+    if draw(st.booleans()):
+        pts = [(y, x) for x, y in pts]
+    try:
+        return convex_hull(pts)
+    except DegenerateInput:
+        assume(False)
+
+
 class TestIntegralHull:
+    @settings(max_examples=100, deadline=None)
+    @given(rational_polygons())
+    def test_matches_fraction_hull_of_every_lattice_point(self, P):
+        h = integral_hull(P)
+        assert (h.dim, h.vertices, h.polygon) == _fraction_hull(P)
+
+    @pytest.mark.parametrize("P, dim", [
+        # lattice points (0, 0..3): one per row
+        (Polygon([(F(-1, 3), 0), (F(1, 3), 0), (0, 3)]), 1),
+        # lattice points (0..3, 0): a single row
+        (Polygon([(0, F(-1, 3)), (3, 0), (0, F(1, 3))]), 1),
+        (Polygon([(F(-1, 2), F(-1, 2)), (F(1, 2), F(-1, 2)), (0, F(1, 2))]), 0),
+        (Polygon([(F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (F(1, 2), F(2, 3))]), -1),
+    ])
+    def test_degenerate_lattice_sets_match_fraction_hull(self, P, dim):
+        h = integral_hull(P)
+        assert h.dim == dim and h.polygon is None
+        assert (h.dim, h.vertices, h.polygon) == _fraction_hull(P)
+
     def test_integral_polygon_is_its_own_hull(self):
         h = integral_hull(SQUARE)
         assert h.dim == 2 and h.polygon == SQUARE
