@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import constructions as cons
 from . import jsonio, svg, verify
 from .ehrhart import ehrhart, mcmullen_indices
-from .geometry import area, boundary_count, interior_count
+from .geometry import area, boundary_count, lattice_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,8 +50,8 @@ def cmd_analyze(args) -> int:
     P = jsonio.polygon_from_json(doc, "polygon")
     q = ehrhart(P)
     ps = q.period_sequence()
-    I = interior_count(P, 1)
     b = boundary_count(P, 1)
+    I = lattice_count(P, 1) - b
     applicable, holds = cons.integral_hull_proposition_check(P)
     out = {
         "polygon": jsonio.polygon_to_json(P),

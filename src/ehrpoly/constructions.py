@@ -33,6 +33,7 @@ from .geometry import (
     denominator,
     integral_hull,
     interior_count,
+    lattice_count,
     lattice_length,
     point,
     segment_lattice_count,
@@ -321,7 +322,6 @@ def glued_count_identity(s: int, t: int, n_max: int | None = None) -> bool:
     P = glued(s, t)
     if n_max is None:
         n_max = 3 * math.lcm(s, t)
-    from .geometry import lattice_count
     return all(
         lattice_count(P, n) == lattice_count(H, n) + lattice_count(Q, n) - (n + 1)
         for n in range(1, n_max + 1))
@@ -389,8 +389,8 @@ def scott_pip_search(seed: int, trials: int, max_denominator: int = 4,
         if not is_pip(P):
             continue
         report.pips_found += 1
-        I = interior_count(P, 1)
         b = boundary_count(P, 1)
+        I = lattice_count(P, 1) - b
         report.census[(I, b)] = report.census.get((I, b), 0) + 1
         if not scott_inequality_holds(I, b):
             report.counterexamples.append(P)

@@ -6,12 +6,14 @@ whose coefficient functions have period dividing D.  We therefore fit, for
 each residue class r mod D, an exact quadratic through the counts at
 n = r, r+D, r+2D, and verify it against one further count at r+3D.  The
 verification turns the divisibility premise into a checked fact instead of
-an assumption.
+an assumption.  The fit and the verification run on integer forward
+differences; only the finished coefficients become Fractions.  `is_pip`
+builds no tables: it stops at the first count that leaves the quadratic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,6 +51,8 @@ class EhrhartQuasiPolynomial:
     c2: tuple[Fraction, ...]
     c1: tuple[Fraction, ...]
     c0: tuple[Fraction, ...]
+    _periods: PeriodSequence | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def evaluate(self, n: int) -> Fraction:
         r = n % self.modulus
@@ -58,10 +62,14 @@ class EhrhartQuasiPolynomial:
         return (self.c0, self.c1, self.c2)[i][n % self.modulus]
 
     def period_sequence(self) -> PeriodSequence:
-        s2 = minimal_period(self.c2)
-        s1 = minimal_period(self.c1)
-        s0 = minimal_period(self.c0)
-        return PeriodSequence(s2, s1, s0, math.lcm(s0, s1, s2))
+        """The minimal periods, computed on the first call and kept."""
+        if self._periods is None:
+            s2 = minimal_period(self.c2)
+            s1 = minimal_period(self.c1)
+            s0 = minimal_period(self.c0)
+            object.__setattr__(self, "_periods",
+                               PeriodSequence(s2, s1, s0, math.lcm(s0, s1, s2)))
+        return self._periods
 
     @property
     def quasi_period(self) -> int:
@@ -86,18 +94,6 @@ def region_denominator(R) -> int:
     raise TypeError(f"no denominator for {type(R).__name__}")
 
 
-def _fit_quadratic(samples: list[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (c2, c1, c0) through three (n, value) points, distinct n."""
-    (n0, v0), (n1, v1), (n2, v2) = samples
-    # divided differences
-    d01 = Fraction(v1 - v0, n1 - n0)
-    d12 = Fraction(v2 - v1, n2 - n1)
-    c2 = (d12 - d01) / (n2 - n0)
-    c1 = d01 - c2 * (n0 + n1)
-    c0 = v0 - c2 * n0 * n0 - c1 * n0
-    return c2, c1, c0
-
-
 def ehrhart(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
     """Interpolate the Ehrhart quasi-polynomial of a polygon or region.
 
@@ -106,22 +102,28 @@ def ehrhart(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
     VerificationFailure is raised.
     """
     D = region_denominator(R)
-    counts = {n: region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)}
+    counts = [0] + [region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)]
+    den = 2 * D * D
     c2 = [Fraction(0)] * D
     c1 = [Fraction(0)] * D
     c0 = [Fraction(0)] * D
     for r in range(1, D + 1):
-        ns = [r, r + D, r + 2 * D]
-        q2, q1, q0 = _fit_quadratic([(n, counts[n]) for n in ns])
+        v0, v1, v2 = counts[r], counts[r + D], counts[r + 2 * D]
+        # the quadratic through them, in forward differences: value
+        # v0 + k*d1 + k(k-1)/2 * d2 at n = r + kD
+        d1, d2 = v1 - v0, v2 - 2 * v1 + v0
         for k in range(3, 3 + extra_checks):
             n = r + k * D
-            got = q2 * n * n + q1 * n + q0
+            got = v0 + k * d1 + k * (k - 1) // 2 * d2
             if got != counts[n]:
                 raise VerificationFailure(
                     f"interpolated value {got} != count {counts[n]} at n={n} "
                     f"(residue {r % D} mod {D})")
+        # substituting k = (n - r)/D gives coefficients over 2D^2
         idx = r % D
-        c2[idx], c1[idx], c0[idx] = q2, q1, q0
+        c2[idx] = Fraction(d2, den)
+        c1[idx] = Fraction(2 * D * d1 - (2 * r + D) * d2, den)
+        c0[idx] = Fraction(den * v0 - 2 * r * D * d1 + r * (r + D) * d2, den)
     return EhrhartQuasiPolynomial(D, tuple(c2), tuple(c1), tuple(c0))
 
 
@@ -145,8 +147,21 @@ def period_sequence(R) -> PeriodSequence:
 
 
 def is_pip(R) -> bool:
-    """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial."""
-    return ehrhart(R).quasi_period == 1
+    """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial.
+
+    Equals ``ehrhart(R).quasi_period == 1`` without building the tables:
+    that holds iff the counts at n = 1..4D lie on one quadratic, i.e. every
+    third difference vanishes.  The first nonzero one proves the counts are
+    not a polynomial, so the test stops there.
+    """
+    D = region_denominator(R)
+    a, b, c = (region_count(R, n) for n in (1, 2, 3))
+    for n in range(4, 4 * D + 1):
+        v = region_count(R, n)
+        if v - 3 * c + 3 * b - a:
+            return False
+        a, b, c = b, c, v
+    return True
 
 
 def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:

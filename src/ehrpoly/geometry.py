@@ -12,6 +12,10 @@ Three independent lattice counters are provided:
 * ``lattice_count_naive`` -- full bounding-box scan, O(area * edges)
 
 They must always agree; the slower ones exist as oracles for the faster.
+``lattice_count`` works on integers only: the first count of a polygon
+builds its counting plan (the vertices over their common denominator Q and
+each boundary edge as integer floor-sum terms), which every later count of
+any dilate evaluates with a few floor divisions.
 """
 from __future__ import annotations
 
@@ -90,7 +94,7 @@ class Polygon:
     every vertex) and anything contained in a line.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_plan")
 
     def __init__(self, vertices: Sequence):
         verts = tuple(point(v[0], v[1]) for v in vertices)
@@ -113,6 +117,7 @@ class Polygon:
             raise DegenerateInput("vertices wind around more than once")
         start = min(range(m), key=lambda i: verts[i])
         self.vertices: tuple[Point, ...] = verts[start:] + verts[:start]
+        self._plan = None  # built by the first lattice_count
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -364,47 +369,63 @@ def _chains(V: list[tuple[int, int]]):
     return right, left
 
 
+def _counting_plan(P: Polygon):
+    """(Q, ymin, ymax, right, left) for `lattice_count`, all integers.
+
+    The vertices of nP are (n*X/Q, n*Y/Q) for the integer vertices (X, Y)
+    of QP; ymin and ymax are the extreme Y.  Along a chain edge, row y of
+    nP has boundary abscissa x(y) = (A*y + n*B) / M, so each edge is the
+    term (A, B, M, Y_end), with Y_end the edge's last Y.  Left-chain terms
+    are negated, since -ceil(x) = floor(-x).
+    """
+    V, Q = _scaled_vertices(P)
+    right, left = _chains(V)
+
+    def terms(chain, negate: bool) -> tuple:
+        out = []
+        for (ax, ay), (bx, by) in chain:
+            A, B, M = Q * (bx - ax), ax * by - bx * ay, Q * (by - ay)
+            if M < 0:
+                A, B, M = -A, -B, -M
+            if negate:
+                A, B = -A, -B
+            out.append((A, B, M, by))
+        return tuple(out)
+
+    ys = [y for _, y in V]
+    return Q, min(ys), max(ys), terms(right, False), terms(left, True)
+
+
 def lattice_count(P: Polygon, n: int) -> int:
     """|nP ∩ Z^2| via exact per-edge floor sums.
 
     Each row y contributes floor(xR(y)) - ceil(xL(y)) + 1 where xL, xR are
     the row's exact boundary abscissae; summed per boundary chain edge with
-    `floor_sum`, so the cost is O(edges * log), independent of n.
+    `floor_sum`, so the cost is O(edges * log), independent of n.  The
+    edge terms come from P's counting plan, built once per polygon.
     """
     _check_dilation(n)
-    V, Q = _scaled_vertices(P)
-    # scaled polygon nP has vertices (n*X/Q, n*Y/Q)
-    ys = [y for _, y in V]
-    ylo = -((-n * min(ys)) // Q)   # ceil
-    yhi = (n * max(ys)) // Q       # floor
+    plan = P._plan
+    if plan is None:
+        plan = P._plan = _counting_plan(P)
+    Q, ymin, ymax, right, left = plan
+    ylo = -(-n * ymin // Q)   # ceil
+    yhi = n * ymax // Q       # floor
     if ylo > yhi:
         return 0
     total = yhi - ylo + 1
-    right, left = _chains(V)
-
-    def edge_sum(a, b, y1, y2, negate: bool) -> int:
-        # x(y) = (A*y + B) / M along edge a->b of the dilate
-        A = Q * (b[0] - a[0])
-        B = n * (a[0] * b[1] - b[0] * a[1])
-        M = Q * (b[1] - a[1])
-        if M < 0:
-            A, B, M = -A, -B, -M
-        if negate:
-            A, B = -A, -B
-        return floor_sum(y2 - y1 + 1, M, A, A * y1 + B)
-
     cur = ylo
-    for a, b in right:
-        y2 = (n * b[1]) // Q
+    for A, B, M, y_end in right:
+        y2 = n * y_end // Q
         if y2 >= cur:
-            total += edge_sum(a, b, cur, min(y2, yhi), negate=False)
+            total += floor_sum(min(y2, yhi) - cur + 1, M, A, A * cur + n * B)
             cur = y2 + 1
     cur = yhi
-    for a, b in left:
-        y2 = -((-n * b[1]) // Q)
+    for A, B, M, y_end in left:
+        y2 = -(-n * y_end // Q)
         if y2 <= cur:
-            # -ceil(xL) = floor(-xL)
-            total += edge_sum(a, b, max(y2, ylo), cur, negate=True)
+            lo = max(y2, ylo)
+            total += floor_sum(cur - lo + 1, M, A, A * lo + n * B)
             cur = y2 - 1
     return total
 

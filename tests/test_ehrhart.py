@@ -86,6 +86,62 @@ class TestInterpolation:
         with pytest.raises(VerificationFailure):
             eh.ehrhart(SQUARE)
 
+    def test_fourth_sample_is_checked(self, monkeypatch):
+        import sys
+        eh = sys.modules["ehrpoly.ehrhart"]
+        from ehrpoly.ehrhart import VerificationFailure
+        real = eh.region_count
+        # on the unit square (D = 1) only extra_checks=2 counts n = 5
+        monkeypatch.setattr(eh, "region_count",
+                            lambda R, n: real(R, n) + (n >= 5))
+        with pytest.raises(VerificationFailure):
+            eh.ehrhart(SQUARE, extra_checks=2)
+        assert eh.ehrhart(SQUARE) == ehrhart(SQUARE)
+
+    def test_period_sequence_is_computed_once(self, monkeypatch):
+        import sys
+        eh = sys.modules["ehrpoly.ehrhart"]
+        q = ehrhart(heptagon(3))
+        calls = []
+        real = eh.minimal_period
+        monkeypatch.setattr(eh, "minimal_period",
+                            lambda values: calls.append(values) or real(values))
+        ps = q.period_sequence()
+        assert (q.period_sequence(), q.quasi_period, q.is_polynomial) == (ps, 3, False)
+        assert len(calls) == 3
+        assert q == ehrhart(heptagon(3)) and hash(q) == hash(ehrhart(heptagon(3)))
+
+
+class TestIsPip:
+    def test_agrees_with_quasi_period_on_search_corpus(self):
+        polys = polygon_corpus(4, 500, max_denominator=4, coord_bound=4)
+        verdicts = [is_pip(P) for P in polys]
+        assert verdicts == [ehrhart(P).quasi_period == 1 for P in polys]
+        assert 0 < sum(verdicts) < len(polys)
+
+    def test_stops_at_first_nonquadratic_count(self, monkeypatch):
+        import sys
+        eh = sys.modules["ehrpoly.ehrhart"]
+        real = eh.region_count
+        seen = []
+        monkeypatch.setattr(eh, "region_count",
+                            lambda R, n: seen.append(n) or real(R, n))
+        T = triangle_q((0, 0), 2)
+        assert not eh.is_pip(T)
+        assert len(seen) < 4 * denominator(T)
+
+    def test_checks_every_count_that_ehrhart_verifies(self, monkeypatch):
+        import sys
+        eh = sys.modules["ehrpoly.ehrhart"]
+        from ehrpoly.ehrhart import VerificationFailure
+        real = eh.region_count
+        kite = pip_b2(1)   # D = 2, so ehrhart's last count is at n = 8
+        monkeypatch.setattr(eh, "region_count",
+                            lambda R, n: real(R, n) + (n == 8))
+        with pytest.raises(VerificationFailure):
+            eh.ehrhart(kite)
+        assert not eh.is_pip(kite)
+
 
 class TestMinimalPeriod:
     def test_constant(self):

@@ -264,6 +264,29 @@ def rational_polygons(draw):
         assume(False)
 
 
+class TestCountingPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polygons(), st.randoms(), st.tuples(frac6, frac6),
+           st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    def test_plan_counts_match_oracles_in_any_order(self, P, rnd, shift, k):
+        D = denominator(P)
+        ns = list(range(1, 2 * D + 3))
+        rnd.shuffle(ns)
+        counts = {n: lattice_count(P, n) for n in ns}   # one plan, built first
+        # the oracles cost O(rows) and O(area): check both ends of the order
+        for n in ns[:4] + ns[-4:]:
+            assert counts[n] == lattice_count_rowscan(P, n)
+            if n * n * area(P) <= 2000:
+                assert counts[n] == lattice_count_naive(P, n)
+        doubled, moved, shifted = P.dilate(2), P.translate(shift), P.translate(k)
+        for n in (1, 2):
+            assert lattice_count(doubled, n) == counts[2 * n]
+            assert lattice_count(moved, n) == lattice_count_rowscan(moved, n) \
+                == lattice_count_naive(moved, n)
+            # nk is a lattice vector, so it moves nP onto the same count
+            assert lattice_count(shifted, n) == counts[n]
+
+
 class TestIntegralHull:
     @settings(max_examples=100, deadline=None)
     @given(rational_polygons())
