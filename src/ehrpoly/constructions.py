@@ -19,34 +19,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .ehrhart import EhrhartQuasiPolynomial, ehrhart, is_pip, period_sequence
+from .ehrhart import EhrhartQuasiPolynomial, ehrhart, is_pip
 from .geometry import (
     GeometryError,
     Point,
     Polygon,
     area,
     boundary_count,
-    convex_hull,
     convex_union,
-    denominator,
     integral_hull,
     interior_count,
     lattice_count,
     lattice_length,
     point,
-    segment_lattice_count,
-    vec_add,
-    vec_scale,
 )
 from .regions import HalfOpenSegment, SemiOpenRegion, region_count, segment_count
 from .sampling import random_polygon, trial_rng
 from .unimodular import (
-    PiecewiseUnimodularMap,
     affine_skew,
     apply_disjoint,
-    apply_piecewise,
     apply_to_polygon,
     iterate,
     skew_minus,
@@ -348,7 +340,8 @@ def integral_hull_proposition_check(P: Polygon) -> tuple[bool, bool]:
     lattice point, P must satisfy Scott's inequality."""
     hull = integral_hull(P)
     applicable = hull.dim == 2 and interior_count(hull.polygon, 1) >= 1
-    holds = scott_inequality_holds(interior_count(P, 1), boundary_count(P, 1))
+    b = boundary_count(P, 1)
+    holds = scott_inequality_holds(lattice_count(P, 1) - b, b)
     return applicable, holds
 
 

@@ -19,11 +19,10 @@ from typing import NamedTuple
 
 from .geometry import (
     Polygon,
+    _lattice_line,
     coord_lcm,
     denominator,
     lattice_count,
-    primitive,
-    vec_sub,
 )
 from .regions import RegionUnion, SemiOpenRegion, region_count
 
@@ -99,8 +98,11 @@ def ehrhart(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
 
     Counts at n = r + kD for k = 0, 1, 2 determine each residue class; the
     count at k = 3 (and beyond, if extra_checks > 1) must match or a
-    VerificationFailure is raised.
+    VerificationFailure is raised.  An extra_checks below 1 would leave
+    the tables unchecked, so it raises ValueError.
     """
+    if not isinstance(extra_checks, int) or extra_checks < 1:
+        raise ValueError(f"extra_checks must be an integer >= 1, got {extra_checks!r}")
     D = region_denominator(R)
     counts = [0] + [region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)]
     den = 2 * D * D
@@ -172,14 +174,13 @@ def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:
     p0 = lcm of vertex coordinate denominators.  By construction
     p2 | p1 | p0, and each coefficient period s_i divides p_i.
     """
+    Q, V = P._Q, P._V
     p1 = 1
-    for a, b in P.edges():
-        u, v = primitive(vec_sub(b, a))
-        # the line of p*edge is {x : det((u,v), x) = p*c}; it meets Z^2 iff
-        # p*c is an integer, since gcd(u, v) = 1
-        c = Fraction(u) * a[1] - Fraction(v) * a[0]
-        p1 = math.lcm(p1, c.denominator)
-    return 1, p1, denominator(P)
+    for a, b in zip(V, V[1:] + V[:1]):
+        # the line of p*edge meets Z^2 iff Q divides p*c (see _lattice_line)
+        c = _lattice_line(a, b)[0]
+        p1 = math.lcm(p1, Q // math.gcd(Q, c))
+    return 1, p1, Q
 
 
 def series_coefficients(t: int, N: int) -> list[int]:

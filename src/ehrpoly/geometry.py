@@ -1,9 +1,13 @@
 """Exact rational plane geometry for lattice-point counting.
 
-Every coordinate is a `fractions.Fraction`; no floats appear anywhere, so
-all predicates (orientation, containment, counts) are exact.  Points and
-vectors are plain `(Fraction, Fraction)` tuples, which keeps them hashable
-and cheap; `Polygon` is the only real class.
+Points and vectors are plain `(Fraction, Fraction)` tuples at the API, which
+keeps them hashable and cheap; `Polygon` is the only real class.  No floats
+appear anywhere, so all predicates (orientation, containment, counts) are
+exact.  A polygon also stores its vertices once as integers over their
+common denominator Q.  Its validity checks, convex hulls, lattice and
+boundary counts, and the lattice points of segments run on integers; one
+lattice-line formula (`_lattice_line`) serves every segment.  `Fraction`
+arithmetic is left to areas, containment, dilates and the oracles.
 
 Three independent lattice counters are provided:
 
@@ -12,10 +16,9 @@ Three independent lattice counters are provided:
 * ``lattice_count_naive`` -- full bounding-box scan, O(area * edges)
 
 They must always agree; the slower ones exist as oracles for the faster.
-``lattice_count`` works on integers only: the first count of a polygon
-builds its counting plan (the vertices over their common denominator Q and
-each boundary edge as integer floor-sum terms), which every later count of
-any dilate evaluates with a few floor divisions.
+The first count of a polygon builds its counting plan (each edge of the
+integer vertices as a floor-sum term), which every later count of any
+dilate evaluates with a few floor divisions.
 """
 from __future__ import annotations
 
@@ -94,17 +97,18 @@ class Polygon:
     every vertex) and anything contained in a line.
     """
 
-    __slots__ = ("vertices", "_plan")
+    __slots__ = ("vertices", "_Q", "_V", "_plan")
 
     def __init__(self, vertices: Sequence):
         verts = tuple(point(v[0], v[1]) for v in vertices)
-        if len(verts) < 3:
-            raise DegenerateInput(f"need at least 3 vertices, got {len(verts)}")
-        if len(set(verts)) != len(verts):
-            raise DegenerateInput("repeated vertex")
         m = len(verts)
+        if m < 3:
+            raise DegenerateInput(f"need at least 3 vertices, got {m}")
+        Q, V = _scale(verts)
+        if len(set(V)) != m:
+            raise DegenerateInput("repeated vertex")
         for i in range(m):
-            turn = cross(verts[i], verts[(i + 1) % m], verts[(i + 2) % m])
+            turn = cross(V[i], V[(i + 1) % m], V[(i + 2) % m])
             if turn == 0:
                 raise DegenerateInput("three consecutive collinear vertices")
             if turn < 0:
@@ -112,11 +116,13 @@ class Polygon:
         # with every turn left and below a half turn, the edge direction
         # passes the +x axis once per winding; a convex boundary winds once
         up = [b[1] > a[1] or (b[1] == a[1] and b[0] > a[0])
-              for a, b in zip(verts, verts[1:] + verts[:1])]
+              for a, b in zip(V, V[1:] + V[:1])]
         if sum(up[i] and not up[i - 1] for i in range(m)) != 1:
             raise DegenerateInput("vertices wind around more than once")
-        start = min(range(m), key=lambda i: verts[i])
+        start = min(range(m), key=V.__getitem__)
         self.vertices: tuple[Point, ...] = verts[start:] + verts[:start]
+        self._Q = Q  # the vertices are _V / Q, with _V integer pairs
+        self._V = tuple(V[start:] + V[:start])
         self._plan = None  # built by the first lattice_count
 
     def __eq__(self, other) -> bool:
@@ -161,6 +167,13 @@ class Polygon:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+def _scale(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    """(Q, integer points): rational points over their common denominator Q."""
+    Q = coord_lcm(points)
+    return Q, [(x.numerator * (Q // x.denominator), y.numerator * (Q // y.denominator))
+               for x, y in points]
+
+
 def _check_dilation(n) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {n!r}")
@@ -174,12 +187,12 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def _monotone_chain(pts: Sequence) -> list:
-    """Hull vertices of sorted distinct points, counterclockwise from the
-    smallest, collinear points dropped (Andrew's monotone chain).
+def _monotone_chain(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Hull vertices of sorted distinct integer points, counterclockwise
+    from the smallest, collinear points dropped (Andrew's monotone chain).
 
-    Works on any numeric pairs, since `cross` is generic.  A collinear set
-    gives its two ends, a single point or an empty set gives [].
+    A collinear set gives its two ends, a single point or an empty set
+    gives [].
     """
     lower: list = []
     for p in pts:
@@ -200,13 +213,14 @@ def convex_hull(points: Iterable) -> Polygon:
     Raises DegenerateInput when fewer than 3 distinct points remain or all
     points are collinear.
     """
-    pts = sorted({point(p[0], p[1]) for p in points})
+    Q, V = _scale([point(p[0], p[1]) for p in points])
+    pts = sorted(set(V))
     if len(pts) < 3:
         raise DegenerateInput("hull needs at least 3 distinct points")
     verts = _monotone_chain(pts)
     if len(verts) < 3:
         raise DegenerateInput("all points collinear")
-    return Polygon(verts)
+    return Polygon([(Fraction(x, Q), Fraction(y, Q)) for x, y in verts])
 
 
 def area(P: Polygon) -> Fraction:
@@ -219,11 +233,20 @@ def area(P: Polygon) -> Fraction:
 
 def denominator(P: Polygon) -> int:
     """lcm of all vertex coordinate denominators (the 0-index p0)."""
-    return coord_lcm(P.vertices)
+    return P._Q
 
 
 # ---------------------------------------------------------------------------
 # lattice vectors
+
+
+def _primitive_parts(r: Vector) -> tuple[int, int, int, int]:
+    """(u, v, g, Q) with r = (g / Q) * (u, v) and (u, v) primitive."""
+    Q, ((x, y),) = _scale([point(r[0], r[1])])
+    g = math.gcd(x, y)
+    if g == 0:
+        raise ZeroVector("lattice length of the zero vector")
+    return x // g, y // g, g, Q
 
 
 def lattice_length(r: Vector) -> Fraction:
@@ -231,19 +254,14 @@ def lattice_length(r: Vector) -> Fraction:
 
     For r = (a/b, c/d) in lowest terms this is gcd(a, c) / lcm(b, d).
     """
-    rx, ry = Fraction(r[0]), Fraction(r[1])
-    if rx == 0 and ry == 0:
-        raise ZeroVector("lattice length of the zero vector")
-    g = math.gcd(rx.numerator, ry.numerator)
-    return Fraction(g, math.lcm(rx.denominator, ry.denominator))
+    _, _, g, Q = _primitive_parts(r)
+    return Fraction(g, Q)
 
 
 def primitive(r: Vector) -> tuple[int, int]:
     """Shortest integer vector positively proportional to r."""
-    L = lattice_length(r)
-    px, py = Fraction(r[0]) / L, Fraction(r[1]) / L
-    assert px.denominator == 1 and py.denominator == 1
-    return (px.numerator, py.numerator)
+    u, v, _, _ = _primitive_parts(r)
+    return (u, v)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -261,52 +279,57 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def segment_lattice_count(a: Point, b: Point) -> int:
-    """Number of integer points on the closed segment [a, b], a != b.
+def _lattice_line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """(c, k, g, u, v) for the line through the integer points a != b.
 
-    The lattice points on the line through a with primitive direction
-    (u, v) form either the empty set or an arithmetic progression with
-    step (u, v); we count how much of it lands inside [a, b].
+    g = gcd(b - a) and (u, v) = (b - a) / g, so the line is u*y - v*x = c.
+    With alpha*u + beta*v = 1, s = alpha*x + beta*y runs along it from k at
+    a to k + g at b.  Scaled by n/Q the line is u*y - v*x = n*c/Q, which
+    meets Z^2 iff Q divides n*c; its lattice points are then the points
+    where s is an integer, since s grows by 1 along each step (u, v).
     """
-    a = point(a[0], a[1])
-    b = point(b[0], b[1])
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    g, alpha, beta = _egcd(dx, dy)
+    u, v = dx // g, dy // g
+    return u * a[1] - v * a[0], alpha * a[0] + beta * a[1], g, u, v
+
+
+def _segment_count(a: tuple[int, int], b: tuple[int, int], Q: int, n: int,
+                   closed: bool) -> int:
+    """Lattice points of n/Q times the segment from a to b, integer a != b:
+    the closed segment, or the half-open one that leaves out the a end.
+
+    On it s runs from n*k/Q to n*(k + g)/Q (see `_lattice_line`); the
+    integers in (lo, hi] number floor(hi) - floor(lo).
+    """
+    c, k, g, _, _ = _lattice_line(a, b)
+    if n * c % Q:
+        return 0
+    lo = n * k - 1 if closed else n * k
+    return n * (k + g) // Q - lo // Q
+
+
+def segment_lattice_count(a: Point, b: Point) -> int:
+    """Number of integer points on the closed segment [a, b], a != b."""
+    a, b = point(a[0], a[1]), point(b[0], b[1])
     if a == b:
         raise ZeroVector("degenerate segment")
-    d = vec_sub(b, a)
-    u, v = primitive(d)
-    L = lattice_length(d)
-    c = Fraction(u) * a[1] - Fraction(v) * a[0]  # det((u,v), p) is constant on the line
-    if c.denominator != 1:
-        return 0
-    t0 = _line_lattice_offset(a, (u, v))
-    if t0 > L:
-        return 0
-    return math.floor(L - t0) + 1
-
-
-def _line_lattice_offset(a: Point, prim: tuple[int, int]) -> Fraction:
-    """Least t >= 0 with a + t*prim integral, assuming the line meets Z^2."""
-    u, v = prim
-    g, alpha, beta = _egcd(u, v)
-    assert g == 1
-    # t*(u,v) = -a (mod Z^2) componentwise; combine with alpha*u + beta*v = 1
-    t = -(alpha * a[0] + beta * a[1])
-    return t - math.floor(t)
+    Q, (A, B) = _scale((a, b))
+    return _segment_count(A, B, Q, 1, closed=True)
 
 
 def segment_lattice_points(a: Point, b: Point) -> list[tuple[int, int]]:
     """All integer points on the closed segment [a, b], in order from a to b."""
-    a = point(a[0], a[1])
-    b = point(b[0], b[1])
-    n = segment_lattice_count(a, b)
-    if n == 0:
+    a, b = point(a[0], a[1]), point(b[0], b[1])
+    if a == b:
+        raise ZeroVector("degenerate segment")
+    Q, (A, B) = _scale((a, b))
+    c, k, g, u, v = _lattice_line(A, B)
+    if c % Q:
         return []
-    u, v = primitive(vec_sub(b, a))
-    t0 = _line_lattice_offset(a, (u, v))
-    x0 = a[0] + t0 * u
-    y0 = a[1] + t0 * v
-    assert x0.denominator == 1 and y0.denominator == 1
-    return [(int(x0) + k * u, int(y0) + k * v) for k in range(n)]
+    # the point with parameter s is A/Q + (s - k/Q) * (u, v)
+    return [((A[0] + (s * Q - k) * u) // Q, (A[1] + (s * Q - k) * v) // Q)
+            for s in range(-(-k // Q), (k + g) // Q + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +367,6 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return ans
 
 
-def _scaled_vertices(P: Polygon) -> tuple[list[tuple[int, int]], int]:
-    """Vertices as integer pairs over the common denominator Q."""
-    Q = denominator(P)
-    return [(int(v[0] * Q), int(v[1] * Q)) for v in P.vertices], Q
-
-
 def _chains(V: list[tuple[int, int]]):
     """Split the CCW integer vertex cycle into right (rising) and left
     (falling) monotone chains, as lists of directed edges."""
@@ -378,7 +395,7 @@ def _counting_plan(P: Polygon):
     term (A, B, M, Y_end), with Y_end the edge's last Y.  Left-chain terms
     are negated, since -ceil(x) = floor(-x).
     """
-    V, Q = _scaled_vertices(P)
+    Q, V = P._Q, P._V
     right, left = _chains(V)
 
     def terms(chain, negate: bool) -> tuple:
@@ -445,26 +462,28 @@ def _row_interval(P_scaled: list[Point], y: Fraction) -> tuple[Fraction, Fractio
     return min(xs), max(xs)
 
 
-def lattice_count_rowscan(P: Polygon, n: int) -> int:
-    """|nP ∩ Z^2| by scanning integer rows between exact edge crossings."""
-    _check_dilation(n)
+def _rows(P: Polygon, n: int) -> Iterator[tuple[int, int, int]]:
+    """(y, first x, last x) of each integer row of nP, from the exact
+    `Fraction` edge crossings; a row without lattice points has last < first."""
     verts = [vec_scale(v, n) for v in P.vertices]
     ymin = min(v[1] for v in verts)
     ymax = max(v[1] for v in verts)
-    total = 0
     for y in range(math.ceil(ymin), math.floor(ymax) + 1):
         iv = _row_interval(verts, Fraction(y))
-        if iv is None:
-            continue
-        xl, xr = iv
-        total += max(0, math.floor(xr) - math.ceil(xl) + 1)
-    return total
+        if iv is not None:
+            yield y, math.ceil(iv[0]), math.floor(iv[1])
+
+
+def lattice_count_rowscan(P: Polygon, n: int) -> int:
+    """|nP ∩ Z^2| by scanning integer rows between exact edge crossings."""
+    _check_dilation(n)
+    return sum(max(0, last - first + 1) for _, first, last in _rows(P, n))
 
 
 def lattice_count_naive(P: Polygon, n: int) -> int:
     """|nP ∩ Z^2| by testing every bounding-box point against every edge."""
     _check_dilation(n)
-    V, Q = _scaled_vertices(P)
+    Q, V = P._Q, P._V
     m = len(V)
     # point (x, y) is inside iff for every edge, cross >= 0 after clearing Q:
     #   (bx-ax)*(Q*y - n*ay) - (by-ay)*(Q*x - n*ax) >= 0
@@ -496,33 +515,19 @@ def lattice_count_naive(P: Polygon, n: int) -> int:
 def lattice_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
     """Enumerate nP ∩ Z^2 row by row (exact)."""
     _check_dilation(n)
-    verts = [vec_scale(v, n) for v in P.vertices]
-    ymin = min(v[1] for v in verts)
-    ymax = max(v[1] for v in verts)
-    out = []
-    for y in range(math.ceil(ymin), math.floor(ymax) + 1):
-        iv = _row_interval(verts, Fraction(y))
-        if iv is None:
-            continue
-        xl, xr = iv
-        out.extend((x, y) for x in range(math.ceil(xl), math.floor(xr) + 1))
-    return out
+    return [(x, y) for y, first, last in _rows(P, n) for x in range(first, last + 1)]
 
 
 def boundary_count(P: Polygon, n: int) -> int:
     """Lattice points on the boundary of nP, counted edge by edge.
 
-    Each closed edge count drops the leading vertex, so going around the
+    Each edge is counted without its first vertex, so going around the
     cycle counts every boundary point exactly once.
     """
     _check_dilation(n)
-    total = 0
-    for a, b in P.edges():
-        na, nb = vec_scale(a, n), vec_scale(b, n)
-        total += segment_lattice_count(na, nb)
-        if is_lattice(na):
-            total -= 1
-    return total
+    Q, V = P._Q, P._V
+    return sum(_segment_count(a, b, Q, n, closed=False)
+               for a, b in zip(V, V[1:] + V[:1]))
 
 
 def boundary_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .constructions import ConstructionTrace, SearchReport
 from .ehrhart import EhrhartQuasiPolynomial
-from .geometry import Point, Polygon, point
+from .geometry import Point, Polygon
 from .regions import HalfOpenSegment, SemiOpenRegion
 
 

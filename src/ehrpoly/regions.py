@@ -7,23 +7,21 @@ without double bookkeeping at the shared endpoint.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
     Point,
     Polygon,
-    DegenerateInput,
     GeometryError,
     _check_dilation,
+    _scale,
+    _segment_count,
     cross,
-    is_lattice,
     lattice_count,
     lattice_points,
     point,
     point_on_segment,
-    segment_lattice_count,
     vec_scale,
 )
 
@@ -57,12 +55,8 @@ class HalfOpenSegment:
 def segment_count(seg: HalfOpenSegment, n: int) -> int:
     """Lattice points in n * (open, closed] = (n*open, n*closed]."""
     _check_dilation(n)
-    a = vec_scale(seg.open_end, n)
-    b = vec_scale(seg.closed_end, n)
-    c = segment_lattice_count(a, b)
-    if is_lattice(a):
-        c -= 1
-    return c
+    Q, (a, b) = _scale((seg.open_end, seg.closed_end))
+    return _segment_count(a, b, Q, n, closed=False)
 
 
 def _collinear_with_edge(seg: HalfOpenSegment, P: Polygon) -> bool:
@@ -192,8 +186,8 @@ class RegionUnion:
                     raise InvalidRegion("removed segment overlaps the union seam")
 
     def count(self, n: int) -> int:
-        (sa, sb), = self.seams
-        shared = segment_lattice_count(vec_scale(sa, n), vec_scale(sb, n))
+        Q, (a, b) = _scale([point(*p) for p in self.seams[0]])
+        shared = _segment_count(a, b, Q, n, closed=True)
         return sum(region_count(p, n) for p in self.pieces) - shared
 
     def dilate(self, n: int) -> "RegionUnion":

@@ -34,7 +34,6 @@ from .geometry import (
     det2,
     is_lattice,
     point,
-    point_on_segment,
     primitive,
     vec_add,
     vec_sub,

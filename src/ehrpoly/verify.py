@@ -7,7 +7,6 @@ drive these, so there is a single source of truth for what gets checked.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import constructions as cons

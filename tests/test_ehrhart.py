@@ -18,6 +18,7 @@ from ehrpoly import (
     period_sequence,
     pip_b2,
     pip_b2_half,
+    primitive,
     series_coefficients,
     triangle_q,
 )
@@ -97,6 +98,12 @@ class TestInterpolation:
         with pytest.raises(VerificationFailure):
             eh.ehrhart(SQUARE, extra_checks=2)
         assert eh.ehrhart(SQUARE) == ehrhart(SQUARE)
+
+    @pytest.mark.parametrize("extra_checks", [0, -1, 1.5, "2"])
+    def test_unchecked_tables_are_refused(self, extra_checks):
+        # 0 would return tables no count has checked, -1 used to index out
+        with pytest.raises(ValueError, match="extra_checks"):
+            ehrhart(SQUARE, extra_checks=extra_checks)
 
     def test_period_sequence_is_computed_once(self, monkeypatch):
         import sys
@@ -207,6 +214,25 @@ class TestMcMullen:
             assert p1 % p2 == 0 and p0 % p1 == 0
             assert p2 % ps.s2 == 0 and p1 % ps.s1 == 0 and p0 % ps.s0 == 0
             assert p0 == denominator(P)
+
+    def test_p1_is_least_dilation_whose_edge_lines_meet_the_lattice(self, corpus200):
+        for P in corpus200[:60]:
+            p1 = mcmullen_indices(P)[1]
+            meets = [all(_line_meets_lattice((p * a[0], p * a[1]), (b[0] - a[0], b[1] - a[1]))
+                         for a, b in P.edges())
+                     for p in range(1, p1 + 1)]
+            assert meets == [False] * (p1 - 1) + [True]
+
+
+def _line_meets_lattice(a, d):
+    """Whether the line through a with direction d holds a lattice point:
+    one primitive step from a covers a whole period of its lattice points."""
+    u, v = primitive(d)
+    if u == 0:
+        return a[0].denominator == 1
+    lo, hi = sorted((a[0], a[0] + u))
+    return any((a[1] + (x - a[0]) * F(v, u)).denominator == 1
+               for x in range(math.ceil(lo), math.floor(hi) + 1))
 
 
 class TestGeneratingFunction:

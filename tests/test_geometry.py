@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ehrpoly import (
     DegenerateInput,
+    HalfOpenSegment,
     Polygon,
     ZeroVector,
     area,
@@ -23,10 +24,11 @@ from ehrpoly import (
     lattice_points,
     point,
     primitive,
+    segment_count,
     segment_lattice_count,
     segment_lattice_points,
 )
-from ehrpoly.geometry import GeometryError
+from ehrpoly.geometry import GeometryError, point_on_segment
 from ehrpoly.sampling import polygon_corpus
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -369,3 +371,74 @@ def test_pick_on_integral_polygons():
             continue
         built += 1
         assert area(P) == interior_count(P, 1) + F(boundary_count(P, 1), 2) - 1
+
+
+def _lattice_scan(a, b, n=1):
+    """Lattice points of the closed segment n*[a, b], by `point_on_segment`
+    over its bounding box: the reference for the integer segment counts."""
+    a, b = point(n * F(a[0]), n * F(a[1])), point(n * F(b[0]), n * F(b[1]))
+    return [(x, y)
+            for x in range(math.ceil(min(a[0], b[0])), math.floor(max(a[0], b[0])) + 1)
+            for y in range(math.ceil(min(a[1], b[1])), math.floor(max(a[1], b[1])) + 1)
+            if point_on_segment(point(x, y), a, b)]
+
+
+@st.composite
+def rational_segments(draw):
+    """Segments with denominators <= 6, including vertical, horizontal and
+    lattice-endpoint ones, in either direction."""
+    kind = draw(st.sampled_from(["any", "vertical", "horizontal", "lattice"]))
+    a, b = draw(st.tuples(frac6, frac6)), draw(st.tuples(frac6, frac6))
+    if kind == "vertical":
+        b = (a[0], b[1])
+    elif kind == "horizontal":
+        b = (b[0], a[1])
+    elif kind == "lattice":
+        a = (F(round(a[0])), F(round(a[1])))
+        b = (F(round(b[0])), F(round(b[1])))
+    assume(a != b)
+    return a, b
+
+
+class TestIntegerCore:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons(), st.integers(min_value=0, max_value=9))
+    def test_vertices_are_the_stored_integers_over_q(self, P, k):
+        k %= len(P)
+        P = Polygon(P.vertices[k:] + P.vertices[:k])   # rotated back on construction
+        Q = P._Q
+        assert P.vertices == tuple((F(x, Q), F(y, Q)) for x, y in P._V)
+        assert Q == denominator(P) == math.lcm(*(c.denominator for v in P.vertices for c in v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons())
+    def test_boundary_count_matches_on_boundary(self, P):
+        for n in (1, 2, 3):
+            Pn = P.dilate(n)
+            brute = sum(Pn.on_boundary(point(*p)) for p in lattice_points(P, n))
+            assert boundary_count(P, n) == brute
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_segments(), st.integers(min_value=1, max_value=3))
+    def test_segment_counts_match_point_on_segment(self, seg, n):
+        a, b = seg
+        brute = _lattice_scan(a, b)
+        pts = segment_lattice_points(a, b)
+        assert sorted(pts) == brute and len(pts) == segment_lattice_count(a, b)
+        assert segment_lattice_points(b, a) == pts[::-1]
+        along = [(x - a[0]) * (b[0] - a[0]) + (y - a[1]) * (b[1] - a[1]) for x, y in pts]
+        assert along == sorted(set(along))   # in order from a to b
+        dilated = _lattice_scan(a, b, n)
+        na = point(n * F(a[0]), n * F(a[1]))
+        assert segment_count(HalfOpenSegment(a, b), n) == sum(p != na for p in dilated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(frac6, frac6), min_size=3, max_size=12))
+    def test_convex_hull_is_the_least_convex_cover(self, pts):
+        try:
+            h = convex_hull(pts)
+        except DegenerateInput:
+            return
+        given_pts = {point(*p) for p in pts}
+        assert set(h.vertices) <= given_pts
+        assert all(h.contains(p) for p in given_pts)
