@@ -1,9 +1,10 @@
 """Ehrhart quasi-polynomials, coefficient periods, and quasi-period.
 
 The count |nP ∩ Z^2| is always c2(n) n^2 + c1(n) n + c0(n) where each
-coefficient is a periodic function of n.  The library interpolates the
-coefficients exactly, one residue class at a time, verifies the result
-against extra counts, and extracts each coefficient's minimal period.
+coefficient is a periodic function of n.  The library takes c2 and c1
+from the edges, c0 from one count per residue class, checks every entry
+by Ehrhart-Macdonald reciprocity, and extracts each coefficient's minimal
+period.
 """
 from fractions import Fraction as F
 

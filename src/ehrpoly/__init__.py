@@ -1,8 +1,8 @@
 """Exact Ehrhart quasi-polynomials of rational convex polygons.
 
 Everything is computed in exact rational arithmetic: lattice-point counts
-of dilates, quasi-polynomial interpolation with verified coefficients,
-minimal coefficient periods, pseudo-integral polygon detection, piecewise
+of dilates, quasi-polynomial coefficients from the edges checked by
+Ehrhart-Macdonald reciprocity, minimal coefficient periods, pseudo-integral polygon detection, piecewise
 skew unimodular transformations, and the explicit families they build
 (kites and triangles with 2 or 1 boundary points, heptagon/triangle glueings
 with any period sequence (1, s, t)).
@@ -61,6 +61,7 @@ from .ehrhart import (
     PeriodSequence,
     VerificationFailure,
     ehrhart,
+    ehrhart_interpolated,
     gf_series_check,
     is_pip,
     mcmullen_indices,

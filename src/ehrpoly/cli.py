@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import constructions as cons
 from . import jsonio, svg, verify
-from .ehrhart import ehrhart, mcmullen_indices
+from .ehrhart import VerificationFailure, ehrhart, mcmullen_indices
 from .geometry import area, boundary_count, lattice_count
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ def cmd_analyze(args) -> int:
     ps = q.period_sequence()
     b = boundary_count(P, 1)
     I = lattice_count(P, 1) - b
-    applicable, holds = cons.integral_hull_proposition_check(P)
+    applicable, holds = cons.integral_hull_proposition_check(P, I=I, b=b)
     out = {
         "polygon": jsonio.polygon_to_json(P),
         "area": jsonio.fraction_to_ratio(area(P)),
@@ -246,6 +246,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except cons.ConstructionMismatch as exc:
         print(f"construction verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except VerificationFailure as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

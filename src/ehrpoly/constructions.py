@@ -335,14 +335,21 @@ def scott_inequality_holds(I: int, b: int) -> bool:
     return I == 0 or b <= 2 * I + 6 or (I, b) == (1, 9)
 
 
-def integral_hull_proposition_check(P: Polygon) -> tuple[bool, bool]:
+def integral_hull_proposition_check(P: Polygon, *, I: int | None = None,
+                                    b: int | None = None) -> tuple[bool, bool]:
     """(applicable, holds): when the integral hull of P has an interior
-    lattice point, P must satisfy Scott's inequality."""
+    lattice point, P must satisfy Scott's inequality.
+
+    A caller that holds P's interior and boundary counts passes them as I
+    and b; otherwise they are counted here.
+    """
     hull = integral_hull(P)
     applicable = hull.dim == 2 and interior_count(hull.polygon, 1) >= 1
-    b = boundary_count(P, 1)
-    holds = scott_inequality_holds(lattice_count(P, 1) - b, b)
-    return applicable, holds
+    if b is None:
+        b = boundary_count(P, 1)
+    if I is None:
+        I = lattice_count(P, 1) - b
+    return applicable, scott_inequality_holds(I, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
-"""Ehrhart quasi-polynomials by exact interpolation.
+"""Ehrhart quasi-polynomials of rational polygons, from their edges.
 
 For a rational polygon (or semi-open region) with coordinate denominator
-lcm D, the counting function n |-> |nP ∩ Z^2| is a degree-2 quasi-polynomial
-whose coefficient functions have period dividing D.  We therefore fit, for
-each residue class r mod D, an exact quadratic through the counts at
-n = r, r+D, r+2D, and verify it against one further count at r+3D.  The
-verification turns the divisibility premise into a checked fact instead of
-an assumption.  The fit and the verification run on integer forward
-differences; only the finished coefficients become Fractions.  `is_pip`
-builds no tables: it stops at the first count that leaves the quadratic.
+lcm D, the counting function L(n) = |nP ∩ Z^2| is a degree-2
+quasi-polynomial whose coefficient functions have period dividing D.  Two
+of its coefficients need no counting.  c2 is the area, with period 1
+(McMullen).  c1 is one sawtooth per edge, set by how far the edge's line
+lies from the next lattice line parallel to it.  The constant term
+c0(r) = L(r) - c2 r^2 - c1(r) r then takes one count per residue r = 1..D.
+
+Every table entry is checked.  Ehrhart-Macdonald reciprocity gives q(-r)
+as L(r) minus a boundary defect that is counted edge by edge, so the count
+at r is checked against the count at D - r.  The two residues paired with
+themselves get their own checks: the constant term of the integral
+polygon DP is 1, and, when D is even, one more count at n = 3D/2 must match
+the tables.  A failed check raises VerificationFailure.  Everything runs on
+integers over 2D^2; only the finished coefficients become Fractions.
+
+`is_pip` builds no tables.  A c1 that is not constant rules a polynomial
+out at once; otherwise the test stops at the first count that leaves
+c2 n^2 + c1 n + 1.  The interpolating fit, `ehrhart_interpolated`, is
+kept as the oracle the engine is tested against.
 """
 from __future__ import annotations
 
@@ -19,16 +30,20 @@ from typing import NamedTuple
 
 from .geometry import (
     Polygon,
+    _edge_lines,
     _lattice_line,
+    _scale,
+    _segment_count,
     coord_lcm,
     denominator,
     lattice_count,
+    point,
 )
 from .regions import RegionUnion, SemiOpenRegion, region_count
 
 
 class VerificationFailure(ArithmeticError):
-    """An interpolated quasi-polynomial failed its extra-sample check."""
+    """A count disagreed with the quasi-polynomial that must produce it."""
 
 
 class PeriodSequence(NamedTuple):
@@ -80,7 +95,8 @@ class EhrhartQuasiPolynomial:
 
 
 def region_denominator(R) -> int:
-    """lcm of coordinate denominators of all vertices and removed endpoints."""
+    """lcm of the coordinate denominators of all vertices, removed endpoints
+    and seam ends."""
     if isinstance(R, Polygon):
         return denominator(R)
     if isinstance(R, SemiOpenRegion):
@@ -89,12 +105,209 @@ def region_denominator(R) -> int:
             pts.extend((seg.open_end, seg.closed_end))
         return coord_lcm(pts)
     if isinstance(R, RegionUnion):
-        return math.lcm(*(region_denominator(p) for p in R.pieces))
+        return math.lcm(coord_lcm(point(*p) for p in R.seams[0]),
+                        *(region_denominator(p) for p in R.pieces))
     raise TypeError(f"no denominator for {type(R).__name__}")
 
 
-def ehrhart(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
-    """Interpolate the Ehrhart quasi-polynomial of a polygon or region.
+def _segment(a, b) -> tuple:
+    """(Q, line a -> b, line b -> a) of a segment over its own denominator Q."""
+    Q, (A, B) = _scale([point(*a), point(*b)])
+    return Q, _lattice_line(A, B), _lattice_line(B, A)
+
+
+def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
+    """(polygons, segments): L_R is the sum of the counts of the closed
+    polygons minus one count per segment, each a removed half-open segment
+    of a SemiOpenRegion or the closed seam of a RegionUnion."""
+    if isinstance(R, Polygon):
+        return [R], []
+    if isinstance(R, SemiOpenRegion):
+        return [R.closed], [_segment(s.open_end, s.closed_end) for s in R.removed]
+    if isinstance(R, RegionUnion):
+        polys, segs = [], [_segment(*R.seams[0])]
+        for piece in R.pieces:
+            p, s = _pieces(piece)
+            polys += p
+            segs += s
+        return polys, segs
+    raise TypeError(f"no Ehrhart quasi-polynomial for {type(R).__name__}")
+
+
+def _area_numerator(D: int, polys) -> int:
+    """2D^2 * c2: the shoelace sums of the integer vertices, over 2Q^2 each."""
+    total = 0
+    for P in polys:
+        V = P._V
+        twice = sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(V, V[1:] + V[:1]))
+        total += twice * (D // P._Q) ** 2
+    return total
+
+
+def _linear_numerators(D: int, polys, segs) -> list[int]:
+    """2D^2 * c1(r) for the residues r = 0..D-1.
+
+    c1(n) is the sum over polygon edges of (g/Q)(1/2 - {-n*c/Q}), minus
+    (g/Q)[Q | n*c] for each segment, with (c, k, g) the edge's or segment's
+    `_lattice_line` over its Q.  Each sawtooth has period Q, which divides D.
+    """
+    const = 0
+    c1 = [0] * D
+    for P in polys:
+        Q = P._Q
+        m = D // Q
+        for c, _, g, _, _ in _edge_lines(P):
+            const += g * m * D
+            if c % Q:
+                w = 2 * g * m * m
+                c1 = [x - y for x, y in zip(c1, [w * (-r * c % Q) for r in range(Q)] * m)]
+    for Q, (c, _, g, _, _), _ in segs:
+        m = D // Q
+        w = 2 * g * m * D
+        c1 = [x - y for x, y in zip(c1, [0 if r * c % Q else w for r in range(Q)] * m)]
+    return [x + const for x in c1]
+
+
+def _defects(D: int, polys, segs) -> list[int]:
+    """L(n) - q(-n) for n = 0..D (index n), the count that reciprocity
+    leaves out: the boundary points of each polygon (its `boundary_count`,
+    one half-open count per edge), less |n(a,b]| + |n[a,b)| per segment.
+
+    An edge or segment line meets Z^2 only at multiples of p = Q/gcd(Q, c),
+    so only those n are counted.
+    """
+    d = [0] * (D + 1)
+    terms = ([(line, P._Q, 1) for P in polys for line in _edge_lines(P)]
+             + [(line, Q, -1) for Q, ab, ba in segs for line in (ab, ba)])
+    for line, Q, sign in terms:
+        p = Q // math.gcd(Q, line[0])
+        for n in range(p, D + 1, p):
+            d[n] += sign * _segment_count(line, Q, n, False)
+    return d
+
+
+def ehrhart(R) -> EhrhartQuasiPolynomial:
+    """The Ehrhart quasi-polynomial of a polygon or region, checked.
+
+    c2 and c1 come in closed form from the edges and c0 from the counts at
+    n = 1..D.  Reciprocity checks the count at each n against the count at
+    D - n; n = D is checked by c0(0) = 1 and, for even D, n = D/2 by one
+    more count at 3D/2.  Any mismatch raises VerificationFailure.
+    """
+    D = region_denominator(R)
+    polys, segs = _pieces(R)
+    den = 2 * D * D
+    a2 = _area_numerator(D, polys)
+    a1 = _linear_numerators(D, polys, segs)
+    counts = [0] + [region_count(R, n) for n in range(1, D + 1)]
+    a0 = [0] * D
+    for n in range(1, D + 1):
+        a0[n % D] = den * counts[n] - a2 * n * n - a1[n % D] * n
+    defects = _defects(D, polys, segs)
+    for n in range(1, D + 1):
+        j = -n % D
+        got, want = a2 * n * n - a1[j] * n + a0[j], den * (counts[n] - defects[n])
+        if got != want:
+            raise VerificationFailure(
+                f"reciprocity fails at n={n} (residue {n % D} mod {D}): the count at "
+                f"n={j or D} gives q(-{n}) = {Fraction(got, den)}, the count at n={n} "
+                f"minus the boundary defect is {Fraction(want, den)}")
+    if a0[0] != den:
+        raise VerificationFailure(
+            f"constant term {Fraction(a0[0], den)} != 1 at n={D} (residue 0 mod {D})")
+    if D % 2 == 0:
+        h = D // 2
+        n = 3 * h
+        got, want = a2 * n * n + a1[h] * n + a0[h], den * region_count(R, n)
+        if got != want:
+            raise VerificationFailure(
+                f"tables give {Fraction(got, den)} != count {want // den} "
+                f"at n={n} (residue {h} mod {D})")
+    return EhrhartQuasiPolynomial(D, (Fraction(a2, den),) * D,
+                                  tuple(Fraction(x, den) for x in a1),
+                                  tuple(Fraction(x, den) for x in a0))
+
+
+def minimal_period(values) -> int:
+    """Smallest divisor p of len(values) with values[(i+p) % D] == values[i].
+
+    Periods of an Ehrhart coefficient table always divide the modulus, so
+    only divisors need checking.
+    """
+    D = len(values)
+    for p in range(1, D + 1):
+        if D % p:
+            continue
+        if all(values[i] == values[(i + p) % D] for i in range(D)):
+            return p
+    raise AssertionError("unreachable: D is a period of itself")
+
+
+def period_sequence(R) -> PeriodSequence:
+    return ehrhart(R).period_sequence()
+
+
+def is_pip(R) -> bool:
+    """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial.
+
+    Equals ``ehrhart(R).quasi_period == 1`` without building the tables.
+    A c1 that is not constant over the residues rules it out; for a
+    polygon that is the test p1 != 1.  Otherwise the counts at n = 1..D
+    must equal c2 n^2 + c1 n + 1, and the test stops at the first that
+    does not.
+    """
+    D = region_denominator(R)
+    polys, segs = _pieces(R)
+    a1 = _linear_numerators(D, polys, segs)
+    if a1.count(a1[0]) != D:
+        return False
+    a2, den = _area_numerator(D, polys), 2 * D * D
+    return all(den * region_count(R, n) == a2 * n * n + a1[0] * n + den
+               for n in range(1, D + 1))
+
+
+def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:
+    """(p2, p1, p0): least dilations making all i-faces meet the lattice.
+
+    p2 = 1 always (the affine span of a polygon is the whole plane);
+    p1 = lcm over edges of the least p making the edge's line hit Z^2;
+    p0 = lcm of vertex coordinate denominators.  By construction
+    p2 | p1 | p0, and each coefficient period s_i divides p_i.
+    """
+    Q = P._Q
+    p1 = 1
+    for c, _, _, _, _ in _edge_lines(P):
+        # the line of p*edge meets Z^2 iff Q divides p*c (see _lattice_line)
+        p1 = math.lcm(p1, Q // math.gcd(Q, c))
+    return 1, p1, Q
+
+
+def series_coefficients(t: int, N: int) -> list[int]:
+    """First N coefficients of (1 - z)^(-2) * (1 - z^t)^(-1)."""
+    out = [0] * N
+    for j in range(0, N, t):
+        for k in range(j, N):
+            out[k] += k - j + 1
+    return out
+
+
+def gf_series_check(P: Polygon, t: int, N: int) -> bool:
+    """Compare counts of P against the generating function with a pole at
+    the t-th roots of unity; the n = 0 term is taken to be 1."""
+    if N < 3 * t:
+        raise ValueError(f"need N >= 3t for a meaningful check, got N={N}, t={t}")
+    expected = series_coefficients(t, N)
+    if expected[0] != 1:
+        return False
+    return all(lattice_count(P, k) == expected[k] for k in range(1, N))
+
+
+# ---------------------------------------------------------------------------
+# oracle
+
+
+def ehrhart_interpolated(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
+    """Oracle: interpolate the Ehrhart quasi-polynomial from counts alone.
 
     Counts at n = r + kD for k = 0, 1, 2 determine each residue class; the
     count at k = 3 (and beyond, if extra_checks > 1) must match or a
@@ -127,77 +340,3 @@ def ehrhart(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
         c1[idx] = Fraction(2 * D * d1 - (2 * r + D) * d2, den)
         c0[idx] = Fraction(den * v0 - 2 * r * D * d1 + r * (r + D) * d2, den)
     return EhrhartQuasiPolynomial(D, tuple(c2), tuple(c1), tuple(c0))
-
-
-def minimal_period(values) -> int:
-    """Smallest divisor p of len(values) with values[(i+p) % D] == values[i].
-
-    Periods of an Ehrhart coefficient table always divide the modulus, so
-    only divisors need checking.
-    """
-    D = len(values)
-    for p in range(1, D + 1):
-        if D % p:
-            continue
-        if all(values[i] == values[(i + p) % D] for i in range(D)):
-            return p
-    raise AssertionError("unreachable: D is a period of itself")
-
-
-def period_sequence(R) -> PeriodSequence:
-    return ehrhart(R).period_sequence()
-
-
-def is_pip(R) -> bool:
-    """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial.
-
-    Equals ``ehrhart(R).quasi_period == 1`` without building the tables:
-    that holds iff the counts at n = 1..4D lie on one quadratic, i.e. every
-    third difference vanishes.  The first nonzero one proves the counts are
-    not a polynomial, so the test stops there.
-    """
-    D = region_denominator(R)
-    a, b, c = (region_count(R, n) for n in (1, 2, 3))
-    for n in range(4, 4 * D + 1):
-        v = region_count(R, n)
-        if v - 3 * c + 3 * b - a:
-            return False
-        a, b, c = b, c, v
-    return True
-
-
-def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:
-    """(p2, p1, p0): least dilations making all i-faces meet the lattice.
-
-    p2 = 1 always (the affine span of a polygon is the whole plane);
-    p1 = lcm over edges of the least p making the edge's line hit Z^2;
-    p0 = lcm of vertex coordinate denominators.  By construction
-    p2 | p1 | p0, and each coefficient period s_i divides p_i.
-    """
-    Q, V = P._Q, P._V
-    p1 = 1
-    for a, b in zip(V, V[1:] + V[:1]):
-        # the line of p*edge meets Z^2 iff Q divides p*c (see _lattice_line)
-        c = _lattice_line(a, b)[0]
-        p1 = math.lcm(p1, Q // math.gcd(Q, c))
-    return 1, p1, Q
-
-
-def series_coefficients(t: int, N: int) -> list[int]:
-    """First N coefficients of (1 - z)^(-2) * (1 - z^t)^(-1)."""
-    out = [0] * N
-    for j in range(0, N, t):
-        for k in range(j, N):
-            out[k] += k - j + 1
-    return out
-
-
-def gf_series_check(P: Polygon, t: int, N: int) -> bool:
-    """Compare counts of P against the generating function with a pole at
-    the t-th roots of unity; the n = 0 term is taken to be 1."""
-    if N < 3 * t:
-        raise ValueError(f"need N >= 3t for a meaningful check, got N={N}, t={t}")
-    expected = series_coefficients(t, N)
-    if expected[0] != 1:
-        return False
-    return all(lattice_count(P, k) == expected[k] for k in range(1, N))

@@ -18,7 +18,9 @@ Three independent lattice counters are provided:
 They must always agree; the slower ones exist as oracles for the faster.
 The first count of a polygon builds its counting plan (each edge of the
 integer vertices as a floor-sum term), which every later count of any
-dilate evaluates with a few floor divisions.
+dilate evaluates with a few floor divisions.  The lattice line of each
+edge is kept the same way (`_edge_lines`), for the boundary counts of
+every dilate and for the Ehrhart engine.
 """
 from __future__ import annotations
 
@@ -97,7 +99,7 @@ class Polygon:
     every vertex) and anything contained in a line.
     """
 
-    __slots__ = ("vertices", "_Q", "_V", "_plan")
+    __slots__ = ("vertices", "_Q", "_V", "_plan", "_lines")
 
     def __init__(self, vertices: Sequence):
         verts = tuple(point(v[0], v[1]) for v in vertices)
@@ -124,6 +126,7 @@ class Polygon:
         self._Q = Q  # the vertices are _V / Q, with _V integer pairs
         self._V = tuple(V[start:] + V[:start])
         self._plan = None  # built by the first lattice_count
+        self._lines = None  # built by the first `_edge_lines`
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -294,15 +297,24 @@ def _lattice_line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int
     return u * a[1] - v * a[0], alpha * a[0] + beta * a[1], g, u, v
 
 
-def _segment_count(a: tuple[int, int], b: tuple[int, int], Q: int, n: int,
-                   closed: bool) -> int:
-    """Lattice points of n/Q times the segment from a to b, integer a != b:
-    the closed segment, or the half-open one that leaves out the a end.
+def _edge_lines(P: Polygon) -> tuple:
+    """The `_lattice_line` of each edge a -> b of QP, built once per polygon."""
+    lines = P._lines
+    if lines is None:
+        V = P._V
+        lines = P._lines = tuple(_lattice_line(a, b) for a, b in zip(V, V[1:] + V[:1]))
+    return lines
+
+
+def _segment_count(line: tuple, Q: int, n: int, closed: bool) -> int:
+    """Lattice points of n/Q times the segment from a to b with
+    `line = _lattice_line(a, b)`: the closed segment, or the half-open one
+    that leaves out the a end.
 
     On it s runs from n*k/Q to n*(k + g)/Q (see `_lattice_line`); the
     integers in (lo, hi] number floor(hi) - floor(lo).
     """
-    c, k, g, _, _ = _lattice_line(a, b)
+    c, k, g = line[:3]
     if n * c % Q:
         return 0
     lo = n * k - 1 if closed else n * k
@@ -315,7 +327,7 @@ def segment_lattice_count(a: Point, b: Point) -> int:
     if a == b:
         raise ZeroVector("degenerate segment")
     Q, (A, B) = _scale((a, b))
-    return _segment_count(A, B, Q, 1, closed=True)
+    return _segment_count(_lattice_line(A, B), Q, 1, closed=True)
 
 
 def segment_lattice_points(a: Point, b: Point) -> list[tuple[int, int]]:
@@ -525,9 +537,8 @@ def boundary_count(P: Polygon, n: int) -> int:
     cycle counts every boundary point exactly once.
     """
     _check_dilation(n)
-    Q, V = P._Q, P._V
-    return sum(_segment_count(a, b, Q, n, closed=False)
-               for a, b in zip(V, V[1:] + V[:1]))
+    Q = P._Q
+    return sum(_segment_count(line, Q, n, closed=False) for line in _edge_lines(P))
 
 
 def boundary_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:

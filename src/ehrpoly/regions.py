@@ -15,6 +15,7 @@ from .geometry import (
     Polygon,
     GeometryError,
     _check_dilation,
+    _lattice_line,
     _scale,
     _segment_count,
     cross,
@@ -56,7 +57,7 @@ def segment_count(seg: HalfOpenSegment, n: int) -> int:
     """Lattice points in n * (open, closed] = (n*open, n*closed]."""
     _check_dilation(n)
     Q, (a, b) = _scale((seg.open_end, seg.closed_end))
-    return _segment_count(a, b, Q, n, closed=False)
+    return _segment_count(_lattice_line(a, b), Q, n, closed=False)
 
 
 def _collinear_with_edge(seg: HalfOpenSegment, P: Polygon) -> bool:
@@ -187,7 +188,7 @@ class RegionUnion:
 
     def count(self, n: int) -> int:
         Q, (a, b) = _scale([point(*p) for p in self.seams[0]])
-        shared = _segment_count(a, b, Q, n, closed=True)
+        shared = _segment_count(_lattice_line(a, b), Q, n, closed=True)
         return sum(region_count(p, n) for p in self.pieces) - shared
 
     def dilate(self, n: int) -> "RegionUnion":

@@ -151,6 +151,32 @@ def test_verify_mcmullen_passes(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_verify_mcmullen_compares_the_engine_with_the_fit(capsys, monkeypatch):
+    import sys
+    from ehrpoly.ehrhart import EhrhartQuasiPolynomial
+    v = sys.modules["ehrpoly.verify"]
+    monkeypatch.setattr(v, "ehrhart_interpolated",
+                        lambda P: EhrhartQuasiPolynomial(1, (F(0),), (F(0),), (F(1),)))
+    code, out, _ = run(capsys, "verify", "mcmullen", "--trials", "5", "--seed", "7")
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert code == 1 and checks == {
+        "s_i | p_i on 5 polygons": True, "p2 | p1 | p0": True,
+        "leading coefficient is the area, period 1": False}
+
+
+def test_verification_failure_exits_1_with_the_residue(tmp_path, capsys, monkeypatch):
+    import sys
+    eh = sys.modules["ehrpoly.ehrhart"]
+    real = eh.region_count
+    monkeypatch.setattr(eh, "region_count", lambda R, n: real(R, n) + (n == 2))
+    f = tmp_path / "heptagon.json"
+    assert run(capsys, "construct", "heptagon", "--s", "3", "-o", str(f))[0] == 0
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+    assert "n=1" in err and "residue 1 mod 3" in err
+
+
 def test_search_deterministic_and_exit_zero(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "search", "--seed", "1", "--trials", "80", "-o", str(f1))[0] == 0

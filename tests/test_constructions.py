@@ -240,3 +240,17 @@ class TestIntegralHullProposition:
         P = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
         applicable, holds = integral_hull_proposition_check(P)
         assert applicable and holds
+
+    def test_given_counts_replace_the_recount(self, monkeypatch):
+        import sys
+        cons = sys.modules["ehrpoly.constructions"]
+        P = Polygon([(F(-1, 3), F(-1, 3)), (F(10, 3), F(-1, 3)),
+                     (F(10, 3), F(10, 3)), (F(-1, 3), F(10, 3))])
+        I = interior_count(P, 1)
+        b = lattice_count(P, 1) - I
+        assert integral_hull_proposition_check(P, I=I, b=b) == (True, True)
+        for name in ("boundary_count", "lattice_count"):
+            monkeypatch.setattr(cons, name, lambda *a: pytest.fail("recounted"))
+        assert integral_hull_proposition_check(P, I=I, b=b) == (True, True)
+        # counts that break Scott's inequality are taken as given
+        assert integral_hull_proposition_check(P, I=1, b=10) == (True, False)

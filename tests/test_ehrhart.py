@@ -2,11 +2,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ehrpoly import (
+    DegenerateInput,
+    InvalidRegion,
     Polygon,
+    RegionUnion,
+    apply_piecewise,
     area,
     constant_coefficient_of_interval,
+    convex_hull,
     denominator,
     ehrhart,
     gf_series_check,
@@ -16,17 +22,22 @@ from ehrpoly import (
     mcmullen_indices,
     minimal_period,
     period_sequence,
+    pip_b1,
     pip_b2,
     pip_b2_half,
     primitive,
     series_coefficients,
+    skew_minus,
+    skew_plus,
     triangle_q,
 )
-from ehrpoly.ehrhart import region_denominator
+from ehrpoly.ehrhart import ehrhart_interpolated, region_denominator
 from ehrpoly.regions import HalfOpenSegment, SemiOpenRegion
 from ehrpoly.sampling import polygon_corpus
+from test_geometry import rational_polygons
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+FRAC3 = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 class TestInterpolation:
@@ -85,7 +96,7 @@ class TestInterpolation:
         monkeypatch.setattr(eh, "region_count",
                             lambda R, n: real(R, n) + (n >= 4))
         with pytest.raises(VerificationFailure):
-            eh.ehrhart(SQUARE)
+            eh.ehrhart_interpolated(SQUARE)
 
     def test_fourth_sample_is_checked(self, monkeypatch):
         import sys
@@ -96,14 +107,14 @@ class TestInterpolation:
         monkeypatch.setattr(eh, "region_count",
                             lambda R, n: real(R, n) + (n >= 5))
         with pytest.raises(VerificationFailure):
-            eh.ehrhart(SQUARE, extra_checks=2)
-        assert eh.ehrhart(SQUARE) == ehrhart(SQUARE)
+            eh.ehrhart_interpolated(SQUARE, extra_checks=2)
+        assert eh.ehrhart_interpolated(SQUARE) == ehrhart_interpolated(SQUARE)
 
     @pytest.mark.parametrize("extra_checks", [0, -1, 1.5, "2"])
     def test_unchecked_tables_are_refused(self, extra_checks):
         # 0 would return tables no count has checked, -1 used to index out
         with pytest.raises(ValueError, match="extra_checks"):
-            ehrhart(SQUARE, extra_checks=extra_checks)
+            ehrhart_interpolated(SQUARE, extra_checks=extra_checks)
 
     def test_period_sequence_is_computed_once(self, monkeypatch):
         import sys
@@ -117,6 +128,107 @@ class TestInterpolation:
         assert (q.period_sequence(), q.quasi_period, q.is_polynomial) == (ps, 3, False)
         assert len(calls) == 3
         assert q == ehrhart(heptagon(3)) and hash(q) == hash(ehrhart(heptagon(3)))
+
+
+def _eh():
+    import sys
+    return sys.modules["ehrpoly.ehrhart"]
+
+
+def _trace_regions(I):
+    return [step.region for step in pip_b1(I).steps]
+
+
+class TestEngine:
+    """The edge engine against the interpolating oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons())
+    def test_equals_the_fit_on_polygons(self, P):
+        assert ehrhart(P) == ehrhart_interpolated(P)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_equals_the_fit_on_pip_b1_trace_regions(self, I, data):
+        R = data.draw(st.sampled_from(_trace_regions(I)))
+        assert ehrhart(R) == ehrhart_interpolated(R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(FRAC3, FRAC3), min_size=3, max_size=8),
+           st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+           st.sampled_from([skew_plus, skew_minus]))
+    def test_equals_the_fit_on_region_unions(self, pts, r, side):
+        # small coordinates around the origin: the map's line through the
+        # origin cuts most of these polygons, and the images stay small
+        try:
+            R = apply_piecewise(side(r), convex_hull(pts))
+        except (DegenerateInput, InvalidRegion):
+            assume(False)
+        assume(isinstance(R, RegionUnion) and region_denominator(R) <= 120)
+        assert ehrhart(R) == ehrhart_interpolated(R)
+
+    def test_closed_form_c1_is_the_fitted_c1_at_every_residue(self, corpus200):
+        eh = _eh()
+        regions = corpus200[:60] + _trace_regions(1) + _trace_regions(3)
+        for R in regions:
+            D = region_denominator(R)
+            fitted = ehrhart_interpolated(R).c1
+            a1 = eh._linear_numerators(D, *eh._pieces(R))
+            assert [F(x, 2 * D * D) for x in a1] == list(fitted)
+
+    def test_a_fault_at_any_count_raises(self, monkeypatch):
+        eh = _eh()
+        real = eh.region_count
+        regions = (polygon_corpus(77, 12, max_denominator=6, coord_bound=5)
+                   + [pip_b2(2), heptagon(3)] + _trace_regions(2))
+        Ds = {region_denominator(R) for R in regions}
+        assert any(D % 2 for D in Ds) and any(D % 2 == 0 for D in Ds)
+        for R in regions:
+            D = region_denominator(R)
+            # n = D and n = D/2 are the residues reciprocity pairs with themselves
+            for bad in range(1, D + 1):
+                for delta in (1, -1):
+                    monkeypatch.setattr(
+                        eh, "region_count",
+                        lambda R, n, bad=bad, delta=delta: real(R, n) + delta * (n == bad))
+                    with pytest.raises(eh.VerificationFailure):
+                        eh.ehrhart(R)
+
+    def test_self_paired_residues_are_checked(self, monkeypatch):
+        eh = _eh()
+        real = eh.region_count
+        # reciprocity alone would accept L(1) = 5 on the unit square
+        monkeypatch.setattr(eh, "region_count", lambda R, n: real(R, n) + (n == 1))
+        with pytest.raises(eh.VerificationFailure, match="constant term"):
+            eh.ehrhart(SQUARE)
+        # on the kite of modulus 2, n = 1 is D/2: the count at n = 3 catches it
+        with pytest.raises(eh.VerificationFailure, match="n=3 "):
+            eh.ehrhart(pip_b2(1))
+
+    def test_counts_once_per_residue(self, monkeypatch):
+        eh = _eh()
+        real = eh.region_count
+        seen = []
+        monkeypatch.setattr(eh, "region_count",
+                            lambda R, n: seen.append(n) or real(R, n))
+        for P in (heptagon(3), pip_b2(2)):
+            seen.clear()
+            D = denominator(P)
+            eh.ehrhart(P)
+            assert seen == list(range(1, D + 1)) + ([3 * D // 2] if D % 2 == 0 else [])
+
+    def test_is_pip_agrees_with_the_fit(self):
+        polys = polygon_corpus(4, 500, max_denominator=4, coord_bound=4)
+        polys += [pip_b2(I) for I in range(1, 5)] + [pip_b1(I).final for I in range(1, 5)]
+        verdicts = [is_pip(P) for P in polys]
+        assert verdicts == [ehrhart_interpolated(P).quasi_period == 1 for P in polys]
+        assert all(verdicts[-8:]) and 0 < sum(verdicts[:500]) < 500
+
+    def test_is_pip_refuses_a_nonconstant_c1_without_counting(self, monkeypatch):
+        eh = _eh()
+        monkeypatch.setattr(eh, "region_count", lambda R, n: pytest.fail("counted"))
+        assert not eh.is_pip(heptagon(3))
+        assert mcmullen_indices(heptagon(3))[1] != 1
 
 
 class TestIsPip:
@@ -142,12 +254,19 @@ class TestIsPip:
         eh = sys.modules["ehrpoly.ehrhart"]
         from ehrpoly.ehrhart import VerificationFailure
         real = eh.region_count
-        kite = pip_b2(1)   # D = 2, so ehrhart's last count is at n = 8
+        kite = pip_b2(1)   # D = 2, so ehrhart_interpolated's last count is at n = 8
         monkeypatch.setattr(eh, "region_count",
                             lambda R, n: real(R, n) + (n == 8))
         with pytest.raises(VerificationFailure):
-            eh.ehrhart(kite)
-        assert not eh.is_pip(kite)
+            eh.ehrhart_interpolated(kite)
+        # the engine and is_pip count n = 1..D (and 3D/2): a fault at any
+        # of n = 1..D is caught by both
+        for bad in range(1, denominator(kite) + 1):
+            monkeypatch.setattr(eh, "region_count",
+                                lambda R, n, bad=bad: real(R, n) + (n == bad))
+            with pytest.raises(VerificationFailure):
+                eh.ehrhart(kite)
+            assert not eh.is_pip(kite)
 
 
 class TestMinimalPeriod:
