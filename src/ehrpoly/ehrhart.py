@@ -31,15 +31,14 @@ from typing import NamedTuple
 from .geometry import (
     Polygon,
     _edge_lines,
-    _lattice_line,
-    _scale,
     _segment_count,
+    _shoelace,
     coord_lcm,
     denominator,
     lattice_count,
     point,
 )
-from .regions import RegionUnion, SemiOpenRegion, region_count
+from .regions import RegionUnion, SemiOpenRegion, _segment_lines, region_count
 
 
 class VerificationFailure(ArithmeticError):
@@ -110,12 +109,6 @@ def region_denominator(R) -> int:
     raise TypeError(f"no denominator for {type(R).__name__}")
 
 
-def _segment(a, b) -> tuple:
-    """(Q, line a -> b, line b -> a) of a segment over its own denominator Q."""
-    Q, (A, B) = _scale([point(*a), point(*b)])
-    return Q, _lattice_line(A, B), _lattice_line(B, A)
-
-
 def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
     """(polygons, segments): L_R is the sum of the counts of the closed
     polygons minus one count per segment, each a removed half-open segment
@@ -123,9 +116,9 @@ def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
     if isinstance(R, Polygon):
         return [R], []
     if isinstance(R, SemiOpenRegion):
-        return [R.closed], [_segment(s.open_end, s.closed_end) for s in R.removed]
+        return [R.closed], [_segment_lines(s) for s in R.removed]
     if isinstance(R, RegionUnion):
-        polys, segs = [], [_segment(*R.seams[0])]
+        polys, segs = [], [_segment_lines(R._seam)]
         for piece in R.pieces:
             p, s = _pieces(piece)
             polys += p
@@ -136,12 +129,7 @@ def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
 
 def _area_numerator(D: int, polys) -> int:
     """2D^2 * c2: the shoelace sums of the integer vertices, over 2Q^2 each."""
-    total = 0
-    for P in polys:
-        V = P._V
-        twice = sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(V, V[1:] + V[:1]))
-        total += twice * (D // P._Q) ** 2
-    return total
+    return sum(_shoelace(P._V) * (D // P._Q) ** 2 for P in polys)
 
 
 def _linear_numerators(D: int, polys, segs) -> list[int]:

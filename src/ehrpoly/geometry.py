@@ -3,11 +3,14 @@
 Points and vectors are plain `(Fraction, Fraction)` tuples at the API, which
 keeps them hashable and cheap; `Polygon` is the only real class.  No floats
 appear anywhere, so all predicates (orientation, containment, counts) are
-exact.  A polygon also stores its vertices once as integers over their
-common denominator Q.  Its validity checks, convex hulls, lattice and
+exact.  A polygon stores its vertices once as integers over their common
+denominator Q, and builds their `Fraction`s only when `vertices` is read.
+Its validity checks, convex hulls, dilates, translates, areas, lattice and
 boundary counts, and the lattice points of segments run on integers; one
-lattice-line formula (`_lattice_line`) serves every segment.  `Fraction`
-arithmetic is left to areas, containment, dilates and the oracles.
+lattice-line formula (`_lattice_line`) serves every segment.  Hulls, dilates
+and translates build their polygons from integers through one unchecked
+constructor (`Polygon._from_scaled`).  `Fraction` arithmetic is left to
+containment and the oracles.
 
 Three independent lattice counters are provided:
 
@@ -99,7 +102,7 @@ class Polygon:
     every vertex) and anything contained in a line.
     """
 
-    __slots__ = ("vertices", "_Q", "_V", "_plan", "_lines")
+    __slots__ = ("_vertices", "_Q", "_V", "_plan", "_lines")
 
     def __init__(self, vertices: Sequence):
         verts = tuple(point(v[0], v[1]) for v in vertices)
@@ -122,24 +125,53 @@ class Polygon:
         if sum(up[i] and not up[i - 1] for i in range(m)) != 1:
             raise DegenerateInput("vertices wind around more than once")
         start = min(range(m), key=V.__getitem__)
-        self.vertices: tuple[Point, ...] = verts[start:] + verts[:start]
-        self._Q = Q  # the vertices are _V / Q, with _V integer pairs
-        self._V = tuple(V[start:] + V[:start])
-        self._plan = None  # built by the first lattice_count
-        self._lines = None  # built by the first `_edge_lines`
+        self._set(Q, V[start:] + V[:start], verts[start:] + verts[:start])
 
+    @classmethod
+    def _from_scaled(cls, Q: int, V: Sequence[tuple[int, int]]) -> "Polygon":
+        """The polygon with vertices V / Q, unchecked.
+
+        V must be a counterclockwise, strictly convex cycle of integer
+        points that starts at its smallest one, as `_monotone_chain`
+        returns it.  Q and V are divided by their common factor, which
+        makes the pair the one `_scale` gives.
+        """
+        g = math.gcd(Q, *(c for p in V for c in p))
+        if g > 1:
+            Q, V = Q // g, [(x // g, y // g) for x, y in V]
+        P = cls.__new__(cls)
+        P._set(Q, V, None)
+        return P
+
+    def _set(self, Q: int, V: Sequence[tuple[int, int]], vertices) -> None:
+        # the vertices are _V / Q, with _V integer pairs; their Fractions are
+        # built by the first read of `vertices`, the counting plan by the
+        # first lattice_count and the edge lines by the first `_edge_lines`
+        self._Q, self._V, self._vertices = Q, tuple(V), vertices
+        self._plan = self._lines = None
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        vs = self._vertices
+        if vs is None:
+            Q = self._Q
+            vs = self._vertices = tuple((Fraction(x, Q), Fraction(y, Q)) for x, y in self._V)
+        return vs
+
+    # (_Q, _V) is canonical: Q is the least common denominator and V starts
+    # at the smallest vertex
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polygon) and self.vertices == other.vertices
+        return isinstance(other, Polygon) and self._Q == other._Q and self._V == other._V
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash((self._Q, self._V))
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({v[0]}, {v[1]})" for v in self.vertices)
         return f"Polygon[{pts}]"
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._V)
 
     def edges(self) -> Iterator[tuple[Point, Point]]:
         vs = self.vertices
@@ -148,11 +180,13 @@ class Polygon:
 
     def dilate(self, n: int) -> "Polygon":
         _check_dilation(n)
-        return Polygon([vec_scale(v, n) for v in self.vertices])
+        return Polygon._from_scaled(self._Q, [(n * x, n * y) for x, y in self._V])
 
     def translate(self, d: Vector) -> "Polygon":
         d = point(d[0], d[1])
-        return Polygon([vec_add(v, d) for v in self.vertices])
+        Q = math.lcm(self._Q, coord_lcm([d]))
+        m, dx, dy = Q // self._Q, int(d[0] * Q), int(d[1] * Q)
+        return Polygon._from_scaled(Q, [(m * x + dx, m * y + dy) for x, y in self._V])
 
     def contains(self, p: Point) -> bool:
         """Closed containment (boundary counts)."""
@@ -216,22 +250,28 @@ def convex_hull(points: Iterable) -> Polygon:
     Raises DegenerateInput when fewer than 3 distinct points remain or all
     points are collinear.
     """
-    Q, V = _scale([point(p[0], p[1]) for p in points])
+    return _scaled_hull(*_scale([point(p[0], p[1]) for p in points]))
+
+
+def _scaled_hull(Q: int, V: Iterable[tuple[int, int]]) -> Polygon:
+    """`convex_hull` of the points V / Q, for integer pairs V."""
     pts = sorted(set(V))
     if len(pts) < 3:
         raise DegenerateInput("hull needs at least 3 distinct points")
     verts = _monotone_chain(pts)
     if len(verts) < 3:
         raise DegenerateInput("all points collinear")
-    return Polygon([(Fraction(x, Q), Fraction(y, Q)) for x, y in verts])
+    return Polygon._from_scaled(Q, verts)
+
+
+def _shoelace(V: Sequence[tuple[int, int]]) -> int:
+    """Twice the signed area of the integer vertex cycle V."""
+    return sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(V, V[1:] + V[:1]))
 
 
 def area(P: Polygon) -> Fraction:
     """Exact shoelace area; positive since vertices are counterclockwise."""
-    s = Fraction(0)
-    for a, b in P.edges():
-        s += a[0] * b[1] - a[1] * b[0]
-    return s / 2
+    return Fraction(_shoelace(P._V), 2 * P._Q ** 2)
 
 
 def denominator(P: Polygon) -> int:
@@ -581,7 +621,7 @@ class IntegralHull:
         verts = _monotone_chain(pts)
         if len(verts) >= 3:
             self.dim = 2
-            self.polygon: Polygon | None = Polygon(verts)
+            self.polygon: Polygon | None = Polygon._from_scaled(1, verts)
             self.vertices = self.polygon.vertices
         else:
             # the lexicographic ends of P ∩ Z^2 are row ends, so they survive

@@ -7,7 +7,7 @@ without double bookkeeping at the shared endpoint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import (
@@ -37,6 +37,7 @@ class HalfOpenSegment:
 
     open_end: Point
     closed_end: Point
+    _lines: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "open_end", point(*self.open_end))
@@ -53,11 +54,22 @@ class HalfOpenSegment:
         return point_on_segment(p, self.open_end, self.closed_end) and p != self.open_end
 
 
+def _segment_lines(seg: HalfOpenSegment) -> tuple:
+    """(Q, line open -> closed, line closed -> open): the `_lattice_line`s of
+    seg over its own denominator Q, built once per segment."""
+    lines = seg._lines
+    if lines is None:
+        Q, (a, b) = _scale((seg.open_end, seg.closed_end))
+        lines = (Q, _lattice_line(a, b), _lattice_line(b, a))
+        object.__setattr__(seg, "_lines", lines)
+    return lines
+
+
 def segment_count(seg: HalfOpenSegment, n: int) -> int:
     """Lattice points in n * (open, closed] = (n*open, n*closed]."""
     _check_dilation(n)
-    Q, (a, b) = _scale((seg.open_end, seg.closed_end))
-    return _segment_count(_lattice_line(a, b), Q, n, closed=False)
+    Q, line, _ = _segment_lines(seg)
+    return _segment_count(line, Q, n, closed=False)
 
 
 def _collinear_with_edge(seg: HalfOpenSegment, P: Polygon) -> bool:
@@ -172,7 +184,7 @@ class RegionUnion:
     segment (checked), which is all the piecewise machinery ever needs.
     """
 
-    __slots__ = ("pieces", "seams")
+    __slots__ = ("pieces", "seams", "_seam")
 
     def __init__(self, pieces, seams):
         self.pieces = tuple(pieces)
@@ -180,15 +192,15 @@ class RegionUnion:
         if len(self.pieces) != 2 or len(self.seams) != 1:
             raise InvalidRegion("RegionUnion supports exactly two pieces and one seam")
         (sa, sb), = self.seams
-        seam_seg = HalfOpenSegment(sa, sb)
+        self._seam = HalfOpenSegment(sa, sb)  # keeps the seam's lattice lines
         for piece in self.pieces:
             for rem in piece.removed:
-                if _segments_overlap(rem, seam_seg):
+                if _segments_overlap(rem, self._seam):
                     raise InvalidRegion("removed segment overlaps the union seam")
 
     def count(self, n: int) -> int:
-        Q, (a, b) = _scale([point(*p) for p in self.seams[0]])
-        shared = _segment_count(_lattice_line(a, b), Q, n, closed=True)
+        Q, line, _ = _segment_lines(self._seam)
+        shared = _segment_count(line, Q, n, closed=True)
         return sum(region_count(p, n) for p in self.pieces) - shared
 
     def dilate(self, n: int) -> "RegionUnion":

@@ -3,13 +3,13 @@
 Reproducibility across runs, platforms and implementations matters more
 here than statistical quality, so the generator is a fixed 64-bit
 SplitMix64 with its standard constants, and every trial draws from its own
-stream derived from (seed, trial index).  No use of `random`.
+stream derived from (seed, trial index).  No use of `random`.  A polygon's
+points are drawn as integers over one denominator q, and its hull is built
+from those integers, so no `Fraction` is made until its vertices are read.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .geometry import DegenerateInput, Polygon, convex_hull
+from .geometry import DegenerateInput, Polygon, _scaled_hull
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -54,15 +54,17 @@ def random_polygon(rng: SplitMix64, max_denominator: int, coord_bound: int) -> P
     """Hull of 3..7 random rational points, or None when degenerate.
 
     All coordinates of one polygon share a denominator q <= max_denominator,
-    so the polygon's own denominator is also <= max_denominator.
+    so the polygon's own denominator is also <= max_denominator.  The
+    draws are q, k, then x and y of each point; their order is part of
+    every search report.
     """
     q = rng.int_between(1, max_denominator)
     k = rng.int_between(3, 7)
-    pts = [(Fraction(rng.int_between(-coord_bound * q, coord_bound * q), q),
-            Fraction(rng.int_between(-coord_bound * q, coord_bound * q), q))
+    pts = [(rng.int_between(-coord_bound * q, coord_bound * q),
+            rng.int_between(-coord_bound * q, coord_bound * q))
            for _ in range(k)]
     try:
-        return convex_hull(pts)
+        return _scaled_hull(q, pts)
     except DegenerateInput:
         return None
 

@@ -147,10 +147,6 @@ class PiecewiseUnimodularMap:
     def apply(self, p: Point) -> Point:
         return self.side_map(self.side(p)).apply(p)
 
-    @property
-    def splitting_line(self) -> tuple[Point, tuple[int, int]]:
-        return self.anchor, self.direction
-
 
 def _conjugate_by_translation(m: AffineUnimodular, u: tuple[int, int]) -> AffineUnimodular:
     """p |-> m(p - u) + u."""

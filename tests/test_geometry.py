@@ -373,6 +373,11 @@ def test_pick_on_integral_polygons():
         assert area(P) == interior_count(P, 1) + F(boundary_count(P, 1), 2) - 1
 
 
+def _fraction_area(P):
+    """Shoelace area of the `Fraction` vertices: the reference for `area`."""
+    return sum((a[0] * b[1] - a[1] * b[0] for a, b in P.edges()), F(0)) / 2
+
+
 def _lattice_scan(a, b, n=1):
     """Lattice points of the closed segment n*[a, b], by `point_on_segment`
     over its bounding box: the reference for the integer segment counts."""
@@ -409,6 +414,26 @@ class TestIntegerCore:
         Q = P._Q
         assert P.vertices == tuple((F(x, Q), F(y, Q)) for x, y in P._V)
         assert Q == denominator(P) == math.lcm(*(c.denominator for v in P.vertices for c in v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons(), st.integers(min_value=1, max_value=4),
+           st.tuples(frac6, frac6))
+    def test_unchecked_constructions_match_the_checked_constructor(self, P, n, d):
+        # dilate, translate and integral_hull skip the checks and the
+        # Fraction vertices; Polygon(list of Fractions) does neither
+        dilated, moved = P.dilate(n), P.translate(d)
+        assert dilated._vertices is None and moved._vertices is None
+        pairs = [(dilated, [(n * x, n * y) for x, y in P.vertices]),
+                 (moved, [(x + d[0], y + d[1]) for x, y in P.vertices])]
+        h = integral_hull(P)
+        if h.polygon is not None:
+            pairs.append((h.polygon, list(h.vertices)))
+        for fast, verts in pairs:
+            slow = Polygon(verts)
+            assert (fast._Q, fast._V) == (slow._Q, slow._V)
+            assert fast == slow and hash(fast) == hash(slow)
+            assert fast.vertices == slow.vertices
+            assert area(fast) == _fraction_area(slow)
 
     @settings(max_examples=60, deadline=None)
     @given(rational_polygons())

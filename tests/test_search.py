@@ -1,13 +1,27 @@
+import hashlib
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ehrpoly import (
+    DegenerateInput,
+    Polygon,
+    area,
     boundary_count,
+    convex_hull,
+    ehrhart,
     interior_count,
+    is_pip,
+    lattice_count,
     pip_b1,
     pip_b2,
+    polygon_corpus,
     scott_inequality_holds,
     scott_pip_search,
 )
 from ehrpoly.jsonio import dumps, search_report_to_json
-from ehrpoly.sampling import SplitMix64, _mix, trial_rng
+from ehrpoly.sampling import SplitMix64, _mix, random_polygon, trial_rng
 
 
 def test_zero_trials_gives_empty_report():
@@ -60,3 +74,49 @@ def test_seeded_run_finds_pips_but_no_counterexamples(search1000):
     assert sum(r.census.values()) == r.pips_found
     assert all(b >= 1 for _, b in r.census)
     assert all((I, b) not in {(0, 1), (0, 2)} for I, b in r.census)
+
+
+def _fraction_draws(rng, max_denominator, coord_bound):
+    """The draws of `random_polygon`, in its order (q, k, then x and y of
+    each point), as `Fraction` points."""
+    q = rng.int_between(1, max_denominator)
+    k = rng.int_between(3, 7)
+    b = coord_bound * q
+    return [(F(rng.int_between(-b, b), q), F(rng.int_between(-b, b), q)) for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=5))
+def test_sampler_builds_the_fraction_hull_of_its_draws(seed, trial, max_denominator, bound):
+    P = random_polygon(trial_rng(seed, trial), max_denominator, bound)
+    pts = _fraction_draws(trial_rng(seed, trial), max_denominator, bound)
+    try:
+        hull = convex_hull(pts)
+    except DegenerateInput:
+        assert P is None
+        return
+    for oracle in (hull, Polygon(list(hull.vertices))):
+        assert (P._Q, P._V, P.vertices, hash(P)) == \
+            (oracle._Q, oracle._V, oracle.vertices, hash(oracle))
+
+
+def test_counting_a_sampled_polygon_builds_no_fraction_vertices():
+    for P in polygon_corpus(5, 40, max_denominator=6, coord_bound=5):
+        is_pip(P)
+        boundary_count(P, 1)
+        lattice_count(P, 3)
+        area(P)
+        ehrhart(P)
+        assert P._vertices is None
+
+
+@pytest.mark.parametrize("seed, trials, max_denominator, digest", [
+    (1, 3000, 4, "789e0006cd5a18b594aeb76b6ce77e9c07ab865c19938790959192a58a788353"),
+    (7, 2000, 8, "58bc498081bcf823040acc273167bd2718229a5e6d1f20603ea37335f842f1d4"),
+])
+def test_search_reports_are_pinned(seed, trials, max_denominator, digest):
+    # pins the sampler's draws and their order: a change to either changes
+    # these digests, and has to say so by updating them
+    r = scott_pip_search(seed, trials, max_denominator=max_denominator)
+    assert hashlib.sha256(dumps(search_report_to_json(r)).encode()).hexdigest() == digest
