@@ -33,10 +33,7 @@ from .geometry import (
     _edge_lines,
     _segment_count,
     _shoelace,
-    coord_lcm,
-    denominator,
     lattice_count,
-    point,
 )
 from .regions import RegionUnion, SemiOpenRegion, _segment_lines, region_count
 
@@ -96,17 +93,7 @@ class EhrhartQuasiPolynomial:
 def region_denominator(R) -> int:
     """lcm of the coordinate denominators of all vertices, removed endpoints
     and seam ends."""
-    if isinstance(R, Polygon):
-        return denominator(R)
-    if isinstance(R, SemiOpenRegion):
-        pts = list(R.closed.vertices)
-        for seg in R.removed:
-            pts.extend((seg.open_end, seg.closed_end))
-        return coord_lcm(pts)
-    if isinstance(R, RegionUnion):
-        return math.lcm(coord_lcm(point(*p) for p in R.seams[0]),
-                        *(region_denominator(p) for p in R.pieces))
-    raise TypeError(f"no denominator for {type(R).__name__}")
+    return _denominator(*_pieces(R))
 
 
 def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
@@ -125,6 +112,12 @@ def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
             segs += s
         return polys, segs
     raise TypeError(f"no Ehrhart quasi-polynomial for {type(R).__name__}")
+
+
+def _denominator(polys, segs) -> int:
+    """lcm of the denominators Q that `_pieces` holds for each polygon and
+    segment."""
+    return math.lcm(*(P._Q for P in polys), *(Q for Q, _, _ in segs))
 
 
 def _area_numerator(D: int, polys) -> int:
@@ -182,8 +175,8 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     D - n; n = D is checked by c0(0) = 1 and, for even D, n = D/2 by one
     more count at 3D/2.  Any mismatch raises VerificationFailure.
     """
-    D = region_denominator(R)
     polys, segs = _pieces(R)
+    D = _denominator(polys, segs)
     den = 2 * D * D
     a2 = _area_numerator(D, polys)
     a1 = _linear_numerators(D, polys, segs)
@@ -244,8 +237,8 @@ def is_pip(R) -> bool:
     must equal c2 n^2 + c1 n + 1, and the test stops at the first that
     does not.
     """
-    D = region_denominator(R)
     polys, segs = _pieces(R)
+    D = _denominator(polys, segs)
     a1 = _linear_numerators(D, polys, segs)
     if a1.count(a1[0]) != D:
         return False

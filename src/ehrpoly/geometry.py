@@ -5,12 +5,13 @@ keeps them hashable and cheap; `Polygon` is the only real class.  No floats
 appear anywhere, so all predicates (orientation, containment, counts) are
 exact.  A polygon stores its vertices once as integers over their common
 denominator Q, and builds their `Fraction`s only when `vertices` is read.
-Its validity checks, convex hulls, dilates, translates, areas, lattice and
-boundary counts, and the lattice points of segments run on integers; one
-lattice-line formula (`_lattice_line`) serves every segment.  Hulls, dilates
-and translates build their polygons from integers through one unchecked
-constructor (`Polygon._from_scaled`).  `Fraction` arithmetic is left to
-containment and the oracles.
+Its validity checks, convex hulls and unions, dilates, translates, areas,
+containment, lattice and boundary counts, and the lattice points of
+segments run on integers; one lattice-line formula (`_lattice_line`)
+serves every segment, and one edge test (`_edge_sides`) every question of
+which side of an edge a point lies on.  Hulls, unions, dilates and
+translates build their polygons from integers through one unchecked
+constructor (`Polygon._from_scaled`).
 
 Three independent lattice counters are provided:
 
@@ -53,26 +54,9 @@ def point(x, y) -> Point:
     return (Fraction(x), Fraction(y))
 
 
-def vec_sub(a: Point, b: Point) -> Vector:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def vec_add(a: Point, b: Vector) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def vec_scale(a: Point, k) -> Point:
     k = Fraction(k)
     return (a[0] * k, a[1] * k)
-
-
-def det2(r: Vector, x: Vector) -> Fraction:
-    """Determinant of the 2x2 matrix with columns r and x, in that order.
-
-    This sign convention is fixed package-wide: det2(r, x) > 0 means x lies
-    counterclockwise from r.
-    """
-    return r[0] * x[1] - r[1] * x[0]
 
 
 def cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -190,10 +174,10 @@ class Polygon:
 
     def contains(self, p: Point) -> bool:
         """Closed containment (boundary counts)."""
-        return all(cross(a, b, p) >= 0 for a, b in self.edges())
+        return min(_edge_sides(self, p)) >= 0
 
     def contains_strict(self, p: Point) -> bool:
-        return all(cross(a, b, p) > 0 for a, b in self.edges())
+        return min(_edge_sides(self, p)) > 0
 
     def on_boundary(self, p: Point) -> bool:
         return any(point_on_segment(p, a, b) for a, b in self.edges())
@@ -209,6 +193,18 @@ def _scale(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
     Q = coord_lcm(points)
     return Q, [(x.numerator * (Q // x.denominator), y.numerator * (Q // y.denominator))
                for x, y in points]
+
+
+def _edge_sides(P: Polygon, p: Point) -> list[int]:
+    """For each edge a -> b of P, the positive multiple Q^2 d cross(a, b, p),
+    with d the common denominator of p's coordinates: positive left of the
+    edge, 0 on its line."""
+    x, y = p
+    d, Q = math.lcm(x.denominator, y.denominator), P._Q
+    X, Y = Q * x.numerator * (d // x.denominator), Q * y.numerator * (d // y.denominator)
+    V = P._V
+    return [(bx - ax) * (Y - d * ay) - (by - ay) * (X - d * ax)
+            for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
 
 
 def _check_dilation(n) -> None:
@@ -648,12 +644,14 @@ def convex_union(pieces: Sequence[Polygon]) -> Polygon:
     """Union of interior-disjoint convex pieces, required to be convex.
 
     The hull of all vertices is the union iff its area equals the sum of
-    the piece areas; anything else raises.
+    the piece areas; anything else raises.  Both run on the integer
+    vertices over the lcm Q of the pieces' denominators.
     """
-    hull = convex_hull([v for p in pieces for v in p.vertices])
-    total = sum(area(p) for p in pieces)
-    if area(hull) != total:
+    Q = math.lcm(*(p._Q for p in pieces))
+    hull = _scaled_hull(Q, [(x * (Q // p._Q), y * (Q // p._Q)) for p in pieces for x, y in p._V])
+    total = sum(_shoelace(p._V) * (Q // p._Q) ** 2 for p in pieces)
+    if _shoelace(hull._V) * (Q // hull._Q) ** 2 != total:
         raise GeometryError(
             f"pieces do not tile a convex region (hull area {area(hull)}, "
-            f"piece areas sum to {total})")
+            f"piece areas sum to {Fraction(total, 2 * Q * Q)})")
     return hull

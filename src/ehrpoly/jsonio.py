@@ -111,9 +111,12 @@ def region_from_json(obj, path: str = "region") -> SemiOpenRegion:
         p = f"{path}.removed[{i}]"
         if not isinstance(raw, dict) or "open" not in raw or "closed" not in raw:
             raise ParseError(p, 'expected {"open": vertex, "closed": vertex}')
-        removed.append(HalfOpenSegment(
-            vertex_from_json(raw["open"], f"{p}.open"),
-            vertex_from_json(raw["closed"], f"{p}.closed")))
+        ends = (vertex_from_json(raw["open"], f"{p}.open"),
+                vertex_from_json(raw["closed"], f"{p}.closed"))
+        try:
+            removed.append(HalfOpenSegment(*ends))
+        except ValueError as exc:
+            raise ParseError(p, str(exc)) from None
     try:
         return SemiOpenRegion(P, removed)
     except ValueError as exc:

@@ -15,6 +15,7 @@ from .geometry import (
     Polygon,
     GeometryError,
     _check_dilation,
+    _edge_sides,
     _lattice_line,
     _scale,
     _segment_count,
@@ -73,12 +74,9 @@ def segment_count(seg: HalfOpenSegment, n: int) -> int:
 
 
 def _collinear_with_edge(seg: HalfOpenSegment, P: Polygon) -> bool:
-    for a, b in P.edges():
-        if (cross(a, b, seg.open_end) == 0 and cross(a, b, seg.closed_end) == 0
-                and point_on_segment(seg.open_end, a, b)
-                and point_on_segment(seg.closed_end, a, b)):
-            return True
-    return False
+    """Both ends lie in P and on the line of one edge, so on that edge."""
+    so, sc = _edge_sides(P, seg.open_end), _edge_sides(P, seg.closed_end)
+    return min(so) >= 0 and min(sc) >= 0 and any(a == b == 0 for a, b in zip(so, sc))
 
 
 def _segments_overlap(s: HalfOpenSegment, t: HalfOpenSegment) -> bool:

@@ -3,7 +3,7 @@
 The skew transformation for a nonzero rational direction r fixes the line
 through r pointwise and shears everything else parallel to r:
 
-    skew(r): x  |->  x + det2(r_p, x) * r_p,      r_p = primitive(r)
+    skew(r): x  |->  x + det(r_p, x) * r_p,      r_p = primitive(r)
 
 (the lattice-length normalization in the defining formula cancels, so only
 the primitive direction matters).  The one-sided variants act on a single
@@ -16,10 +16,17 @@ region by every splitting line, maps each closed cell, and reassembles;
 image is covered by another piece is dropped (the other preimage still
 supplies those points), which is exactly how a semi-open construction chain
 can end in a genuinely closed polygon.
+
+Cells are cut, mapped and glued on their integer vertices over their
+denominator: one side formula (`PiecewiseUnimodularMap._side`) places
+vertices and segment ends, `_scaled_hull` builds each cut and mapped cell,
+and `convex_union` glues them.  Removed segments keep their `Fraction`
+endpoints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,15 +35,13 @@ from .geometry import (
     Point,
     Polygon,
     Vector,
-    area,
-    convex_hull,
+    _scale,
+    _scaled_hull,
+    convex_union,
     cross,
-    det2,
     is_lattice,
     point,
     primitive,
-    vec_add,
-    vec_sub,
 )
 from .regions import (
     HalfOpenSegment,
@@ -120,25 +125,37 @@ class PiecewiseUnimodularMap:
     """One affine unimodular map per side of a splitting line.
 
     The line passes through `anchor` with primitive integer `direction`;
-    the sign of det2(direction, x - anchor) selects the side.  Both maps
-    must agree on the line, so the glued map is a homeomorphism.
+    the sign of the determinant det(direction, x - anchor) selects the
+    side.  Both maps must agree on the line, so the glued map is a
+    homeomorphism.
     """
 
     anchor: Point
     direction: tuple[int, int]
     positive_side_map: AffineUnimodular
     negative_side_map: AffineUnimodular
+    _line: tuple[int, int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", point(*self.anchor))
         object.__setattr__(self, "direction", primitive(self.direction))
+        (u, v), (d, ((x, y),)) = self.direction, _scale([self.anchor])
+        # with the anchor at (x, y) / d, the line is u*Y - v*X = c / d
+        object.__setattr__(self, "_line", (u * y - v * x, d))
         # agreement at two distinct line points implies agreement on the line
-        for p in (self.anchor, vec_add(self.anchor, self.direction)):
+        for p in (self.anchor, (self.anchor[0] + u, self.anchor[1] + v)):
             if self.positive_side_map.apply(p) != self.negative_side_map.apply(p):
                 raise ValueError("side maps disagree on the splitting line")
 
+    def _side(self, Q: int, p: tuple[int, int]) -> int:
+        """The positive multiple Q d det(direction, p / Q - anchor), for an
+        integer point p."""
+        (u, v), (c, d) = self.direction, self._line
+        return d * (u * p[1] - v * p[0]) - Q * c
+
     def side(self, p: Point) -> int:
-        s = det2(self.direction, vec_sub(p, self.anchor))
+        Q, (q,) = _scale([point(*p)])
+        s = self._side(Q, q)
         return (s > 0) - (s < 0)
 
     def side_map(self, sign: int) -> AffineUnimodular:
@@ -146,6 +163,12 @@ class PiecewiseUnimodularMap:
 
     def apply(self, p: Point) -> Point:
         return self.side_map(self.side(p)).apply(p)
+
+
+def _map_scaled(m: AffineUnimodular, Q: int, V) -> list[tuple[int, int]]:
+    """The images under m of the points V / Q, for integer pairs V, again over Q."""
+    return [(m.m00 * x + m.m01 * y + m.tx * Q, m.m10 * x + m.m11 * y + m.ty * Q)
+            for x, y in V]
 
 
 def _conjugate_by_translation(m: AffineUnimodular, u: tuple[int, int]) -> AffineUnimodular:
@@ -158,7 +181,7 @@ def _conjugate_by_translation(m: AffineUnimodular, u: tuple[int, int]) -> Affine
 
 
 def skew_plus(r: Vector) -> PiecewiseUnimodularMap:
-    """skew(r) where det2(r, x) >= 0, identity elsewhere."""
+    """skew(r) where det(r, x) >= 0, identity elsewhere."""
     return PiecewiseUnimodularMap((Fraction(0), Fraction(0)), primitive(r),
                                   skew(r), IDENTITY)
 
@@ -166,7 +189,7 @@ def skew_plus(r: Vector) -> PiecewiseUnimodularMap:
 def skew_minus(r: Vector) -> PiecewiseUnimodularMap:
     """The inverse of skew_plus(-r).
 
-    skew_plus(-r) shears the halfplane det2(r, x) <= 0 onto itself, so the
+    skew_plus(-r) shears the halfplane det(r, x) <= 0 onto itself, so the
     inverse applies the inverse shear there and the identity on the other
     side.
     """
@@ -187,7 +210,8 @@ def affine_skew(u, w, sign: str) -> PiecewiseUnimodularMap:
         raise NonLatticeAnchor(f"anchor {u} is not a lattice point")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    base = skew_plus(vec_sub(w, u)) if sign == "+" else skew_minus(vec_sub(w, u))
+    r = (w[0] - u[0], w[1] - u[1])
+    base = skew_plus(r) if sign == "+" else skew_minus(r)
     ui = (int(u[0]), int(u[1]))
     return PiecewiseUnimodularMap(
         u, base.direction,
@@ -199,45 +223,30 @@ def affine_skew(u, w, sign: str) -> PiecewiseUnimodularMap:
 # applying piecewise maps to regions
 
 
-def _split_polygon(P: Polygon, anchor: Point, direction: tuple[int, int]):
-    """Clip P against both closed halfplanes of the line.
+def _split_polygon(P: Polygon, m: PiecewiseUnimodularMap):
+    """Clip P against both closed halfplanes of m's line.
 
     Returns (pos_piece, neg_piece, chord); each piece is a Polygon or None
-    when that side has empty interior, chord is the (a, b) segment of the
-    line inside P or None when the line misses the interior.
+    when that side has empty interior, chord is (Q, a, b) for the segment
+    a/Q to b/Q of the line inside P, or None when the line misses the
+    interior.
     """
-    verts = P.vertices
-    sides = [det2(direction, vec_sub(v, anchor)) for v in verts]
-    on_line: list[Point] = [v for v, s in zip(verts, sides) if s == 0]
-    pos: list[Point] = []
-    neg: list[Point] = []
-    m = len(verts)
-    for i in range(m):
-        a, sa = verts[i], sides[i]
-        b, sb = verts[(i + 1) % m], sides[(i + 1) % m]
-        if sa >= 0:
-            pos.append(a)
-        if sa <= 0:
-            neg.append(a)
-        if (sa > 0 > sb) or (sa < 0 < sb):
-            t = sa / (sa - sb)
-            c = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-            pos.append(c)
-            neg.append(c)
-            on_line.append(c)
-
-    def build(pts):
-        try:
-            return convex_hull(pts)
-        except GeometryError:
-            return None
-
-    pos_piece = build(pos) if len(pos) >= 3 else None
-    neg_piece = build(neg) if len(neg) >= 3 else None
-    chord = None
-    if pos_piece is not None and neg_piece is not None:
-        ends = sorted(set(on_line))
-        chord = (ends[0], ends[-1])
+    Q, V = P._Q, P._V
+    sides = [m._side(Q, p) for p in V]
+    # edge a -> b crosses the line at (sa*b - sb*a) / (sa - sb), over Q;
+    # every point goes over the common denominator Q*L
+    cuts = [(sa * bx - sb * ax, sa * by - sb * ay, sa - sb)
+            for (ax, ay), sa, (bx, by), sb in zip(V, sides, V[1:] + V[:1], sides[1:] + sides[:1])
+            if sa * sb < 0]
+    L = math.lcm(*(w for _, _, w in cuts))
+    on_line = [(x * (L // w), y * (L // w)) for x, y, w in cuts]
+    pts = [((x * L, y * L), s) for (x, y), s in zip(V, sides)]
+    on_line += [p for p, s in pts if s == 0]
+    # a side has area iff some vertex lies strictly on it
+    lo, hi = min(sides), max(sides)
+    pos_piece = _scaled_hull(Q * L, on_line + [p for p, s in pts if s > 0]) if hi > 0 else None
+    neg_piece = _scaled_hull(Q * L, on_line + [p for p, s in pts if s < 0]) if lo < 0 else None
+    chord = (Q * L, min(on_line), max(on_line)) if lo < 0 < hi else None
     return pos_piece, neg_piece, chord
 
 
@@ -247,18 +256,15 @@ def _split_segment(seg: HalfOpenSegment, m: PiecewiseUnimodularMap):
     Yields (sign, sub-segment).  Segments lying on the line go to the
     positive side; both side maps agree there, so the choice is immaterial.
     """
-    so, sc = m.side(seg.open_end), m.side(seg.closed_end)
-    if so * sc >= 0:
-        sign = so + sc
-        yield (1 if sign > 0 else (-1 if sign < 0 else 1)), seg
+    Q, (a, b) = _scale((seg.open_end, seg.closed_end))
+    sa, sb = m._side(Q, a), m._side(Q, b)
+    if sa * sb >= 0:
+        yield (-1 if sa + sb < 0 else 1), seg
         return
-    da = det2(m.direction, vec_sub(seg.open_end, m.anchor))
-    db = det2(m.direction, vec_sub(seg.closed_end, m.anchor))
-    t = da / (da - db)
-    cut = (seg.open_end[0] + t * (seg.closed_end[0] - seg.open_end[0]),
-           seg.open_end[1] + t * (seg.closed_end[1] - seg.open_end[1]))
-    yield so, HalfOpenSegment(seg.open_end, cut)
-    yield sc, HalfOpenSegment(cut, seg.closed_end)
+    w = (sa - sb) * Q
+    cut = (Fraction(sa * b[0] - sb * a[0], w), Fraction(sa * b[1] - sb * a[1], w))
+    yield (1 if sa > 0 else -1), HalfOpenSegment(seg.open_end, cut)
+    yield (1 if sb > 0 else -1), HalfOpenSegment(cut, seg.closed_end)
 
 
 def _map_segment(seg: HalfOpenSegment, m: AffineUnimodular) -> HalfOpenSegment:
@@ -304,37 +310,37 @@ def _reassemble(mapped: list[tuple[Polygon, list[HalfOpenSegment]]],
     (their points have surviving preimages); the rest must land on the hull
     boundary.  Non-convex union: return a RegionUnion over the seam.
     """
-    pieces = [(P, segs) for P, segs in mapped if P is not None]
-    if len(pieces) == 1:
-        P, segs = pieces[0]
+    if len(mapped) == 1:
+        P, segs = mapped[0]
         return SemiOpenRegion(P, _merge_removed(segs))
-    hull = convex_hull([v for P, _ in pieces for v in P.vertices])
-    if area(hull) == sum(area(P) for P, _ in pieces):
-        survivors: list[HalfOpenSegment] = []
-        seen: list[HalfOpenSegment] = []
-        for i, (_, segs) in enumerate(pieces):
-            for g in segs:
-                if g in seen:
-                    continue  # removed from both sides: keep a single copy
-                seen.append(g)
-                covered = False
-                for j, (Pj, segs_j) in enumerate(pieces):
-                    if i == j:
-                        continue
-                    if not _segment_inside(g, Pj):
-                        continue
-                    if any(_segments_overlap(g, h) for h in segs_j):
-                        continue
-                    covered = True
-                    break
-                if not covered:
-                    survivors.append(g)
-        return SemiOpenRegion(hull, _merge_removed(survivors))
-    if len(pieces) != 2 or seam is None:
-        raise InvalidRegion("cannot represent a non-convex union of these pieces")
-    return RegionUnion(
-        [SemiOpenRegion(P, _merge_removed(segs)) for P, segs in pieces],
-        [seam])
+    try:
+        hull = convex_union([P for P, _ in mapped])
+    except GeometryError:
+        if len(mapped) != 2 or seam is None:
+            raise InvalidRegion("cannot represent a non-convex union of these pieces") from None
+        return RegionUnion(
+            [SemiOpenRegion(P, _merge_removed(segs)) for P, segs in mapped],
+            [seam])
+    survivors: list[HalfOpenSegment] = []
+    seen: list[HalfOpenSegment] = []
+    for i, (_, segs) in enumerate(mapped):
+        for g in segs:
+            if g in seen:
+                continue  # removed from both sides: keep a single copy
+            seen.append(g)
+            covered = False
+            for j, (Pj, segs_j) in enumerate(mapped):
+                if i == j:
+                    continue
+                if not _segment_inside(g, Pj):
+                    continue
+                if any(_segments_overlap(g, h) for h in segs_j):
+                    continue
+                covered = True
+                break
+            if not covered:
+                survivors.append(g)
+    return SemiOpenRegion(hull, _merge_removed(survivors))
 
 
 def apply_piecewise(m: PiecewiseUnimodularMap, R):
@@ -369,11 +375,11 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
         raise InvalidRegion(f"apply_disjoint expects a region, got {type(R).__name__}")
     cells: list[tuple[Polygon, list[HalfOpenSegment], tuple[int, ...]]] = [
         (R.closed, list(R.removed), ())]
-    chords: list[tuple[Point, Point]] = []
+    chords: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     for m in maps:
         nxt = []
         for poly, segs, signs in cells:
-            pos_piece, neg_piece, chord = _split_polygon(poly, m.anchor, m.direction)
+            pos_piece, neg_piece, chord = _split_polygon(poly, m)
             if chord is not None:
                 chords.append(chord)
             sided: dict[int, list[HalfOpenSegment]] = {1: [], -1: []}
@@ -396,14 +402,16 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
         if len(acting) > 1:
             raise InvalidRegion("maps act on overlapping cells")
         amaps.append(acting[0] if acting else IDENTITY)
-    mapped = [(Polygon([amap.apply(v) for v in poly.vertices]),
+    # _scaled_hull restores the counterclockwise order and the first vertex
+    mapped = [(_scaled_hull(poly._Q, _map_scaled(amap, poly._Q, poly._V)),
                [_map_segment(s, amap) for s in segs])
               for (poly, segs, _), amap in zip(cells, amaps)]
     seam = None
     if len(chords) == 1:
         # the two cells meet along the chord, where their maps agree; the
         # first (positive side) cell's map carries it
-        seam = (amaps[0].apply(chords[0][0]), amaps[0].apply(chords[0][1]))
+        Q, *ends = chords[0]
+        seam = tuple((Fraction(x, Q), Fraction(y, Q)) for x, y in _map_scaled(amaps[0], Q, ends))
     return _reassemble(mapped, seam)
 
 

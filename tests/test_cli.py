@@ -248,6 +248,9 @@ def test_render_escapes_label_text(tmp_path, capsys):
     ({"steps": 5}, "document.steps"),
     ({"vertices": SQUARE_JSON["vertices"], "label": 5}, "document.label"),
     ({"steps": [{"vertices": SQUARE_JSON["vertices"], "label": ["T1"]}]}, "steps[0].label"),
+    ({"vertices": SQUARE_JSON["vertices"],
+      "removed": [{"open": SQUARE_JSON["vertices"][0], "closed": SQUARE_JSON["vertices"][0]}]},
+     "document.region.removed[0]"),
 ])
 def test_render_malformed_document_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     f = tmp_path / "bad.json"

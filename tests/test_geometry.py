@@ -28,7 +28,7 @@ from ehrpoly import (
     segment_lattice_count,
     segment_lattice_points,
 )
-from ehrpoly.geometry import GeometryError, point_on_segment
+from ehrpoly.geometry import GeometryError, cross, point_on_segment
 from ehrpoly.sampling import polygon_corpus
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -264,6 +264,18 @@ def rational_polygons(draw):
         return convex_hull(pts)
     except DegenerateInput:
         assume(False)
+
+
+class TestContainment:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons(), st.lists(st.tuples(frac6, frac6), max_size=12))
+    def test_matches_cross_products(self, P, pts):
+        mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in P.edges()]
+        for p in list(P.vertices) + mids + pts:
+            sides = [cross(a, b, p) for a, b in P.edges()]
+            assert P.contains(p) == (min(sides) >= 0)
+            assert P.contains_strict(p) == (min(sides) > 0)
+        assert all(P.contains(p) and not P.contains_strict(p) for p in list(P.vertices) + mids)
 
 
 class TestCountingPlan:

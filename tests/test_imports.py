@@ -1,7 +1,8 @@
-"""The lint step: every name a module of the package imports is used.
+"""The lint step: every name a module of the package imports is used, and
+every private function or method of the package is referenced in it.
 
 Only `__init__.py` imports names for others to use (its re-exports), so it
-is the one module left out.
+is the one module left out of the import check.
 """
 import ast
 from pathlib import Path
@@ -49,3 +50,32 @@ def test_detects_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private functions and methods (one leading underscore) defined in
+    the modules `sources` maps by name that no module names, as a variable
+    or as an attribute."""
+    defined, referenced = {}, set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined[node.name] = f"{name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(f"{f} ({where})" for f, where in defined.items() if f not in referenced)
+
+
+def test_detects_unreferenced_private():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _orphan():\n    _used()\n",
+               "b.py": "class C:\n    def _m(self):\n        pass\n    def __eq__(self, o):\n"
+                       "        return o._m\n    def _gone(self):\n        pass\n"}
+    assert unreferenced_privates(sources) == ["_gone (b.py:6)", "_orphan (a.py:4)"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

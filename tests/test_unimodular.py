@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehrpoly import (
     AffineUnimodular,
@@ -26,7 +27,9 @@ from ehrpoly import (
     skew_minus,
     skew_plus,
 )
+from ehrpoly.ehrhart import region_denominator
 from ehrpoly.unimodular import IDENTITY
+from test_geometry import rational_polygons
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -252,3 +255,62 @@ def test_heptagon_corner_maps_move_triangles_onto_spike():
         dec = heptagon_decomposition(s)
         assert dec["checks"]["U1_maps_T1"]
         assert dec["checks"]["U2_maps_T2"]
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=6)
+small = st.integers(-3, 3)
+
+
+@st.composite
+def regions(draw):
+    """A rational polygon, closed or with a removed sub-segment of an edge."""
+    P = draw(rational_polygons())
+    if draw(st.booleans()):
+        return P
+    a, b = draw(st.sampled_from(list(P.edges())))
+    s, t = draw(st.lists(unit, min_size=2, max_size=2, unique=True))
+    return SemiOpenRegion(P, [HalfOpenSegment(*[(a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
+                                                 for k in (s, t)])])
+
+
+@st.composite
+def piecewise_maps(draw):
+    """skew_plus, skew_minus, affine_skew, or an affine_skew moved to a
+    rational anchor on its line."""
+    r = draw(st.tuples(small, small).filter(lambda r: r != (0, 0)))
+    u = draw(st.tuples(small, small))
+    kind = draw(st.sampled_from(["plus", "minus", "affine", "rational anchor"]))
+    if kind == "plus":
+        return skew_plus(r)
+    if kind == "minus":
+        return skew_minus(r)
+    m = affine_skew(u, (u[0] + r[0], u[1] + r[1]), draw(st.sampled_from("+-")))
+    if kind == "affine":
+        return m
+    k = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    d = m.direction
+    return PiecewiseUnimodularMap((u[0] + k * d[0], u[1] + k * d[1]), d,
+                                  m.positive_side_map, m.negative_side_map)
+
+
+class TestApplyPiecewiseProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(regions(), piecewise_maps())
+    def test_counts_preserved(self, R, m):
+        out = apply_piecewise(m, R)
+        for n in range(1, 2 * region_denominator(R) + 1):
+            assert region_count(out, n) == region_count(R, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons(), piecewise_maps())
+    def test_polygon_on_one_closed_side_maps_vertex_by_vertex(self, P, m):
+        # move P across the line until its lowest (highest) vertex is on it
+        (u, v), a = m.direction, m.anchor
+        heights = [u * (y - a[1]) - v * (x - a[0]) for x, y in P.vertices]
+        for h, sign in ((min(heights), 1), (max(heights), -1)):
+            w = F(h, u * u + v * v)
+            Q = P.translate((w * v, -w * u))
+            assert {m.side(p) for p in Q.vertices} == {0, sign}
+            amap = m.side_map(sign)
+            assert apply_piecewise(m, Q) == SemiOpenRegion(
+                Polygon([amap.apply(p) for p in Q.vertices]))
