@@ -92,7 +92,11 @@ def cmd_construct(args) -> int:
             doc = jsonio.polygon_to_json(cons.heptagon(args.s))
     elif fam == "triangle-q":
         _require(args, "t")
-        ax, ay = (int(c) for c in args.anchor.split(","))
+        try:
+            ax, ay = (int(c) for c in args.anchor.split(","))
+        except ValueError:
+            raise ValueError(f"construct triangle-q: --anchor takes x,y with integers "
+                             f"x and y, got {args.anchor!r}") from None
         doc = jsonio.polygon_to_json(cons.triangle_q((ax, ay), args.t))
     elif fam == "glued":
         _require(args, "s")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ehrhart import EhrhartQuasiPolynomial, ehrhart, is_pip
+from .ehrhart import EhrhartQuasiPolynomial, ehrhart, is_pip, region_denominator
 from .geometry import (
     GeometryError,
     Point,
@@ -68,7 +68,6 @@ class ConstructionTrace:
     final: Polygon
 
     def max_denominator(self) -> int:
-        from .ehrhart import region_denominator
         return max(region_denominator(s.region) for s in self.steps)
 
     def counts_preserved(self, n_max: int | None = None) -> bool:

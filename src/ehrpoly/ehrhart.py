@@ -35,7 +35,7 @@ from .geometry import (
     _shoelace,
     lattice_count,
 )
-from .regions import RegionUnion, SemiOpenRegion, _segment_lines, region_count
+from .regions import HalfOpenSegment, RegionUnion, SemiOpenRegion, region_count
 
 
 class VerificationFailure(ArithmeticError):
@@ -96,16 +96,16 @@ def region_denominator(R) -> int:
     return _denominator(*_pieces(R))
 
 
-def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
+def _pieces(R) -> tuple[list[Polygon], list[HalfOpenSegment]]:
     """(polygons, segments): L_R is the sum of the counts of the closed
     polygons minus one count per segment, each a removed half-open segment
     of a SemiOpenRegion or the closed seam of a RegionUnion."""
     if isinstance(R, Polygon):
         return [R], []
     if isinstance(R, SemiOpenRegion):
-        return [R.closed], [_segment_lines(s) for s in R.removed]
+        return [R.closed], list(R.removed)
     if isinstance(R, RegionUnion):
-        polys, segs = [], [_segment_lines(R._seam)]
+        polys, segs = [], [R._seam]
         for piece in R.pieces:
             p, s = _pieces(piece)
             polys += p
@@ -117,7 +117,7 @@ def _pieces(R) -> tuple[list[Polygon], list[tuple]]:
 def _denominator(polys, segs) -> int:
     """lcm of the denominators Q that `_pieces` holds for each polygon and
     segment."""
-    return math.lcm(*(P._Q for P in polys), *(Q for Q, _, _ in segs))
+    return math.lcm(*(P._Q for P in polys), *(s._Q for s in segs))
 
 
 def _area_numerator(D: int, polys) -> int:
@@ -142,7 +142,8 @@ def _linear_numerators(D: int, polys, segs) -> list[int]:
             if c % Q:
                 w = 2 * g * m * m
                 c1 = [x - y for x, y in zip(c1, [w * (-r * c % Q) for r in range(Q)] * m)]
-    for Q, (c, _, g, _, _), _ in segs:
+    for s in segs:
+        Q, (c, _, g, _, _) = s._Q, s._lines[0]
         m = D // Q
         w = 2 * g * m * D
         c1 = [x - y for x, y in zip(c1, [0 if r * c % Q else w for r in range(Q)] * m)]
@@ -159,7 +160,7 @@ def _defects(D: int, polys, segs) -> list[int]:
     """
     d = [0] * (D + 1)
     terms = ([(line, P._Q, 1) for P in polys for line in _edge_lines(P)]
-             + [(line, Q, -1) for Q, ab, ba in segs for line in (ab, ba)])
+             + [(line, s._Q, -1) for s in segs for line in s._lines])
     for line, Q, sign in terms:
         p = Q // math.gcd(Q, line[0])
         for n in range(p, D + 1, p):

@@ -174,10 +174,12 @@ class Polygon:
 
     def contains(self, p: Point) -> bool:
         """Closed containment (boundary counts)."""
-        return min(_edge_sides(self, p)) >= 0
+        d, (q,) = _scale([p])
+        return min(_edge_sides(self, d, q)) >= 0
 
     def contains_strict(self, p: Point) -> bool:
-        return min(_edge_sides(self, p)) > 0
+        d, (q,) = _scale([p])
+        return min(_edge_sides(self, d, q)) > 0
 
     def on_boundary(self, p: Point) -> bool:
         return any(point_on_segment(p, a, b) for a, b in self.edges())
@@ -195,14 +197,11 @@ def _scale(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
                for x, y in points]
 
 
-def _edge_sides(P: Polygon, p: Point) -> list[int]:
-    """For each edge a -> b of P, the positive multiple Q^2 d cross(a, b, p),
-    with d the common denominator of p's coordinates: positive left of the
-    edge, 0 on its line."""
-    x, y = p
-    d, Q = math.lcm(x.denominator, y.denominator), P._Q
-    X, Y = Q * x.numerator * (d // x.denominator), Q * y.numerator * (d // y.denominator)
-    V = P._V
+def _edge_sides(P: Polygon, d: int, p: tuple[int, int]) -> list[int]:
+    """For each edge a -> b of P, the positive multiple Q^2 d cross(a, b, p / d)
+    for an integer point p: positive left of the edge, 0 on its line."""
+    Q, V = P._Q, P._V
+    X, Y = Q * p[0], Q * p[1]
     return [(bx - ax) * (Y - d * ay) - (by - ay) * (X - d * ax)
             for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
 

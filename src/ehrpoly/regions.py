@@ -3,11 +3,14 @@ segments.
 
 These make the signed-sum Ehrhart arguments exact: removing a half-open
 segment (open, closed] from a closed polygon subtracts its lattice points
-without double bookkeeping at the shared endpoint.
+without double bookkeeping at the shared endpoint.  A segment stores its
+ends as integers over their common denominator, as a polygon does; the
+tests whether a removed segment lies on an edge (`geometry._edge_sides`)
+and whether two segments overlap run on those integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from fractions import Fraction
 
 from .geometry import (
@@ -19,12 +22,10 @@ from .geometry import (
     _lattice_line,
     _scale,
     _segment_count,
-    cross,
     lattice_count,
     lattice_points,
     point,
     point_on_segment,
-    vec_scale,
 )
 
 
@@ -32,71 +33,95 @@ class InvalidRegion(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
 class HalfOpenSegment:
-    """The segment (open_end, closed_end]: excludes open_end, includes closed_end."""
+    """The segment (open_end, closed_end]: excludes open_end, includes closed_end.
 
-    open_end: Point
-    closed_end: Point
-    _lines: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    Like a Polygon it stores its ends once, as integer points a and b over
+    their common denominator Q, with the lattice lines a -> b and b -> a
+    (`_lattice_line`) that its counts read; `open_end` and `closed_end`
+    are built from them when read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "open_end", point(*self.open_end))
-        object.__setattr__(self, "closed_end", point(*self.closed_end))
-        if self.open_end == self.closed_end:
+    __slots__ = ("_Q", "_a", "_b", "_lines")
+
+    def __init__(self, open_end: Point, closed_end: Point):
+        Q, (a, b) = _scale((point(*open_end), point(*closed_end)))
+        self._set(Q, a, b)
+
+    @classmethod
+    def _from_scaled(cls, Q: int, a: tuple[int, int], b: tuple[int, int]) -> "HalfOpenSegment":
+        """The segment (a / Q, b / Q], for integer points a and b; Q, a and b
+        are divided by their common factor, as `_scale` would give them."""
+        g = math.gcd(Q, *a, *b)
+        seg = cls.__new__(cls)
+        seg._set(Q // g, (a[0] // g, a[1] // g), (b[0] // g, b[1] // g))
+        return seg
+
+    def _set(self, Q: int, a: tuple[int, int], b: tuple[int, int]) -> None:
+        if a == b:
             raise InvalidRegion("half-open segment needs distinct endpoints")
+        self._Q, self._a, self._b = Q, a, b
+        self._lines = (_lattice_line(a, b), _lattice_line(b, a))
+
+    @property
+    def open_end(self) -> Point:
+        return (Fraction(self._a[0], self._Q), Fraction(self._a[1], self._Q))
+
+    @property
+    def closed_end(self) -> Point:
+        return (Fraction(self._b[0], self._Q), Fraction(self._b[1], self._Q))
+
+    # (_Q, _a, _b) is canonical: Q is the least common denominator
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, HalfOpenSegment)
+                and (self._Q, self._a, self._b) == (other._Q, other._a, other._b))
+
+    def __hash__(self) -> int:
+        return hash((self._Q, self._a, self._b))
+
+    def __repr__(self) -> str:
+        return f"HalfOpenSegment(open_end={self.open_end!r}, closed_end={self.closed_end!r})"
 
     def dilate(self, n: int) -> "HalfOpenSegment":
         _check_dilation(n)
-        return HalfOpenSegment(vec_scale(self.open_end, n), vec_scale(self.closed_end, n))
+        (ax, ay), (bx, by) = self._a, self._b
+        return HalfOpenSegment._from_scaled(self._Q, (n * ax, n * ay), (n * bx, n * by))
 
     def contains(self, p: Point) -> bool:
         """Exact membership of p in (open_end, closed_end]."""
         return point_on_segment(p, self.open_end, self.closed_end) and p != self.open_end
 
 
-def _segment_lines(seg: HalfOpenSegment) -> tuple:
-    """(Q, line open -> closed, line closed -> open): the `_lattice_line`s of
-    seg over its own denominator Q, built once per segment."""
-    lines = seg._lines
-    if lines is None:
-        Q, (a, b) = _scale((seg.open_end, seg.closed_end))
-        lines = (Q, _lattice_line(a, b), _lattice_line(b, a))
-        object.__setattr__(seg, "_lines", lines)
-    return lines
-
-
 def segment_count(seg: HalfOpenSegment, n: int) -> int:
     """Lattice points in n * (open, closed] = (n*open, n*closed]."""
     _check_dilation(n)
-    Q, line, _ = _segment_lines(seg)
-    return _segment_count(line, Q, n, closed=False)
+    return _segment_count(seg._lines[0], seg._Q, n, closed=False)
+
+
+def _on_line(seg: HalfOpenSegment, d: int, p: tuple[int, int]) -> bool:
+    """The integer point p / d lies on the line of seg."""
+    c, _, _, u, v = seg._lines[0]
+    return seg._Q * (u * p[1] - v * p[0]) == d * c
 
 
 def _collinear_with_edge(seg: HalfOpenSegment, P: Polygon) -> bool:
     """Both ends lie in P and on the line of one edge, so on that edge."""
-    so, sc = _edge_sides(P, seg.open_end), _edge_sides(P, seg.closed_end)
+    so, sc = _edge_sides(P, seg._Q, seg._a), _edge_sides(P, seg._Q, seg._b)
     return min(so) >= 0 and min(sc) >= 0 and any(a == b == 0 for a, b in zip(so, sc))
 
 
 def _segments_overlap(s: HalfOpenSegment, t: HalfOpenSegment) -> bool:
     """True if the closed hulls of s and t share more than boundary touching
     allowed for half-open disjointness."""
-    if cross(s.open_end, s.closed_end, t.open_end) != 0:
+    Q, R = s._Q, t._Q
+    if not (_on_line(s, R, t._a) and _on_line(s, R, t._b)):
         return False
-    if cross(s.open_end, s.closed_end, t.closed_end) != 0:
-        return False
-    # collinear: compare parameter intervals along the common line
-    d = (s.closed_end[0] - s.open_end[0], s.closed_end[1] - s.open_end[1])
-
-    def param(p):
-        if d[0] != 0:
-            return (p[0] - s.open_end[0]) / d[0]
-        return (p[1] - s.open_end[1]) / d[1]
-
-    lo1, hi1 = sorted((Fraction(0), Fraction(1)))
-    lo2, hi2 = sorted((param(t.open_end), param(t.closed_end)))
-    return max(lo1, lo2) < min(hi1, hi2)
+    # collinear: compare the projections onto the direction (u, v) of s,
+    # all over Q * R; s runs from a to b in that direction
+    _, _, _, u, v = s._lines[0]
+    lo, hi = (R * (u * x + v * y) for x, y in (s._a, s._b))
+    tlo, thi = sorted(Q * (u * x + v * y) for x, y in (t._a, t._b))
+    return max(lo, tlo) < min(hi, thi)
 
 
 class SemiOpenRegion:
@@ -132,9 +157,6 @@ class SemiOpenRegion:
         if not self.removed:
             return f"SemiOpenRegion({self.closed!r})"
         return f"SemiOpenRegion({self.closed!r} minus {list(self.removed)})"
-
-    def contains(self, p: Point) -> bool:
-        return self.closed.contains(p) and not any(s.contains(p) for s in self.removed)
 
     def dilate(self, n: int) -> "SemiOpenRegion":
         return SemiOpenRegion(self.closed.dilate(n), tuple(s.dilate(n) for s in self.removed))
@@ -180,32 +202,29 @@ class RegionUnion:
     Produced by piecewise maps when the image fails to be convex; counting is
     inclusion-exclusion over the seam.  The seam must avoid every removed
     segment (checked), which is all the piecewise machinery ever needs.
+    It is kept as a HalfOpenSegment, for its integer ends and lattice
+    lines, and counted closed.
     """
 
-    __slots__ = ("pieces", "seams", "_seam")
+    __slots__ = ("pieces", "_seam")
 
-    def __init__(self, pieces, seams):
+    def __init__(self, pieces, seam: HalfOpenSegment):
         self.pieces = tuple(pieces)
-        self.seams = tuple(seams)
-        if len(self.pieces) != 2 or len(self.seams) != 1:
+        if len(self.pieces) != 2:
             raise InvalidRegion("RegionUnion supports exactly two pieces and one seam")
-        (sa, sb), = self.seams
-        self._seam = HalfOpenSegment(sa, sb)  # keeps the seam's lattice lines
+        self._seam = seam
         for piece in self.pieces:
             for rem in piece.removed:
-                if _segments_overlap(rem, self._seam):
+                if _segments_overlap(rem, seam):
                     raise InvalidRegion("removed segment overlaps the union seam")
 
-    def count(self, n: int) -> int:
-        Q, line, _ = _segment_lines(self._seam)
-        shared = _segment_count(line, Q, n, closed=True)
-        return sum(region_count(p, n) for p in self.pieces) - shared
+    @property
+    def seams(self) -> tuple[tuple[Point, Point], ...]:
+        return ((self._seam.open_end, self._seam.closed_end),)
 
-    def dilate(self, n: int) -> "RegionUnion":
-        _check_dilation(n)
-        return RegionUnion(
-            [p.dilate(n) for p in self.pieces],
-            [(vec_scale(a, n), vec_scale(b, n)) for a, b in self.seams])
+    def count(self, n: int) -> int:
+        shared = _segment_count(self._seam._lines[0], self._seam._Q, n, closed=True)
+        return sum(region_count(p, n) for p in self.pieces) - shared
 
     def __repr__(self) -> str:
         return f"RegionUnion({list(self.pieces)})"

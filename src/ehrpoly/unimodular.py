@@ -20,14 +20,16 @@ can end in a genuinely closed polygon.
 Cells are cut, mapped and glued on their integer vertices over their
 denominator: one side formula (`PiecewiseUnimodularMap._side`) places
 vertices and segment ends, `_scaled_hull` builds each cut and mapped cell,
-and `convex_union` glues them.  Removed segments keep their `Fraction`
-endpoints.
+and `convex_union` glues them.  Removed segments and the seam of a
+non-convex image are cut, mapped and chained on their integer ends over
+their denominator the same way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Sequence
 
 from .geometry import (
@@ -35,10 +37,10 @@ from .geometry import (
     Point,
     Polygon,
     Vector,
+    _edge_sides,
     _scale,
     _scaled_hull,
     convex_union,
-    cross,
     is_lattice,
     point,
     primitive,
@@ -48,6 +50,7 @@ from .regions import (
     InvalidRegion,
     RegionUnion,
     SemiOpenRegion,
+    _on_line,
     _segments_overlap,
 )
 
@@ -143,9 +146,9 @@ class PiecewiseUnimodularMap:
         # with the anchor at (x, y) / d, the line is u*Y - v*X = c / d
         object.__setattr__(self, "_line", (u * y - v * x, d))
         # agreement at two distinct line points implies agreement on the line
-        for p in (self.anchor, (self.anchor[0] + u, self.anchor[1] + v)):
-            if self.positive_side_map.apply(p) != self.negative_side_map.apply(p):
-                raise ValueError("side maps disagree on the splitting line")
+        pts = [(x, y), (x + d * u, y + d * v)]
+        if _map_scaled(self.positive_side_map, d, pts) != _map_scaled(self.negative_side_map, d, pts):
+            raise ValueError("side maps disagree on the splitting line")
 
     def _side(self, Q: int, p: tuple[int, int]) -> int:
         """The positive multiple Q d det(direction, p / Q - anchor), for an
@@ -256,54 +259,35 @@ def _split_segment(seg: HalfOpenSegment, m: PiecewiseUnimodularMap):
     Yields (sign, sub-segment).  Segments lying on the line go to the
     positive side; both side maps agree there, so the choice is immaterial.
     """
-    Q, (a, b) = _scale((seg.open_end, seg.closed_end))
+    Q, a, b = seg._Q, seg._a, seg._b
     sa, sb = m._side(Q, a), m._side(Q, b)
     if sa * sb >= 0:
         yield (-1 if sa + sb < 0 else 1), seg
         return
-    w = (sa - sb) * Q
-    cut = (Fraction(sa * b[0] - sb * a[0], w), Fraction(sa * b[1] - sb * a[1], w))
-    yield (1 if sa > 0 else -1), HalfOpenSegment(seg.open_end, cut)
-    yield (1 if sb > 0 else -1), HalfOpenSegment(cut, seg.closed_end)
-
-
-def _map_segment(seg: HalfOpenSegment, m: AffineUnimodular) -> HalfOpenSegment:
-    return HalfOpenSegment(m.apply(seg.open_end), m.apply(seg.closed_end))
-
-
-def _segment_inside(seg: HalfOpenSegment, P: Polygon) -> bool:
-    return P.contains(seg.open_end) and P.contains(seg.closed_end)
+    # the cut (sa*b - sb*a) / (sa - sb) goes over Q*|sa - sb|, and the ends with it
+    e, w = (1 if sa > 0 else -1), abs(sa - sb)
+    cut = (e * (sa * b[0] - sb * a[0]), e * (sa * b[1] - sb * a[1]))
+    yield e, HalfOpenSegment._from_scaled(Q * w, (a[0] * w, a[1] * w), cut)
+    yield -e, HalfOpenSegment._from_scaled(Q * w, cut, (b[0] * w, b[1] * w))
 
 
 def _merge_removed(segs: list[HalfOpenSegment]) -> list[HalfOpenSegment]:
     """Chain collinear (a, c] + (c, b] into (a, b]; drop exact duplicates."""
-    out: list[HalfOpenSegment] = []
-    for s in segs:
-        if s in out:
-            continue
-        out.append(s)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            for j in range(len(out)):
-                if i == j:
-                    continue
-                s, t = out[i], out[j]
-                if (s.closed_end == t.open_end
-                        and cross(s.open_end, t.closed_end, s.closed_end) == 0):
-                    merged = HalfOpenSegment(s.open_end, t.closed_end)
-                    out = [u for k, u in enumerate(out) if k not in (i, j)]
-                    out.append(merged)
-                    changed = True
-                    break
-            if changed:
+    out = list(dict.fromkeys(segs))
+    while True:
+        for s, t in permutations(out, 2):
+            Q, R = s._Q, t._Q
+            if all(x * R == y * Q for x, y in zip(s._b, t._a)) and _on_line(s, R, t._b):
                 break
-    return out
+        else:
+            return out
+        out = [u for u in out if u is not s and u is not t]
+        out.append(HalfOpenSegment._from_scaled(
+            Q * R, (s._a[0] * R, s._a[1] * R), (t._b[0] * Q, t._b[1] * Q)))
 
 
 def _reassemble(mapped: list[tuple[Polygon, list[HalfOpenSegment]]],
-                seam: tuple[Point, Point] | None):
+                seam: HalfOpenSegment | None):
     """Glue mapped closed pieces back into a region.
 
     Convex union: removed segments covered by another piece are dropped
@@ -319,27 +303,16 @@ def _reassemble(mapped: list[tuple[Polygon, list[HalfOpenSegment]]],
         if len(mapped) != 2 or seam is None:
             raise InvalidRegion("cannot represent a non-convex union of these pieces") from None
         return RegionUnion(
-            [SemiOpenRegion(P, _merge_removed(segs)) for P, segs in mapped],
-            [seam])
-    survivors: list[HalfOpenSegment] = []
-    seen: list[HalfOpenSegment] = []
-    for i, (_, segs) in enumerate(mapped):
-        for g in segs:
-            if g in seen:
-                continue  # removed from both sides: keep a single copy
-            seen.append(g)
-            covered = False
-            for j, (Pj, segs_j) in enumerate(mapped):
-                if i == j:
-                    continue
-                if not _segment_inside(g, Pj):
-                    continue
-                if any(_segments_overlap(g, h) for h in segs_j):
-                    continue
-                covered = True
-                break
-            if not covered:
-                survivors.append(g)
+            [SemiOpenRegion(P, _merge_removed(segs)) for P, segs in mapped], seam)
+
+    def covered(i: int, g: HalfOpenSegment) -> bool:
+        # g lies in another piece, and no removed segment of that piece meets it
+        return any(j != i and min(_edge_sides(Pj, g._Q, g._a) + _edge_sides(Pj, g._Q, g._b)) >= 0
+                   and not any(_segments_overlap(g, h) for h in segs_j)
+                   for j, (Pj, segs_j) in enumerate(mapped))
+
+    # a segment removed from both sides is kept once, by _merge_removed
+    survivors = [g for i, (_, segs) in enumerate(mapped) for g in segs if not covered(i, g)]
     return SemiOpenRegion(hull, _merge_removed(survivors))
 
 
@@ -404,14 +377,15 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
         amaps.append(acting[0] if acting else IDENTITY)
     # _scaled_hull restores the counterclockwise order and the first vertex
     mapped = [(_scaled_hull(poly._Q, _map_scaled(amap, poly._Q, poly._V)),
-               [_map_segment(s, amap) for s in segs])
+               [HalfOpenSegment._from_scaled(s._Q, *_map_scaled(amap, s._Q, (s._a, s._b)))
+                for s in segs])
               for (poly, segs, _), amap in zip(cells, amaps)]
     seam = None
     if len(chords) == 1:
         # the two cells meet along the chord, where their maps agree; the
         # first (positive side) cell's map carries it
         Q, *ends = chords[0]
-        seam = tuple((Fraction(x, Q), Fraction(y, Q)) for x, y in _map_scaled(amaps[0], Q, ends))
+        seam = HalfOpenSegment._from_scaled(Q, *_map_scaled(amaps[0], Q, ends))
     return _reassemble(mapped, seam)
 
 

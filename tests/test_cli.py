@@ -43,6 +43,13 @@ def test_construct_missing_parameter_exits_2(capsys):
     assert code == 2 and "--I" in err
 
 
+@pytest.mark.parametrize("anchor", ["1", "1,x"])
+def test_construct_malformed_anchor_exits_2_naming_the_option(capsys, anchor):
+    code, out, err = run(capsys, "construct", "triangle-q", "--t", "2", "--anchor", anchor)
+    assert code == 2 and out == ""
+    assert "--anchor" in err and "x,y" in err and repr(anchor) in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import ehrpoly.verify as v
     monkeypatch.setitem(

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ehrpoly import (
     HalfOpenSegment,
@@ -15,6 +16,8 @@ from ehrpoly import (
     segment_count,
     segment_lattice_count,
 )
+from ehrpoly.geometry import cross
+from ehrpoly.regions import _segments_overlap
 from ehrpoly.sampling import SplitMix64, polygon_corpus
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -115,3 +118,76 @@ def test_region_count_matches_naive_on_random_regions():
         R = SemiOpenRegion(P, [HalfOpenSegment(a, mid)])
         for n in range(1, 7):
             assert region_count(R, n) == region_count_naive(R, n)
+
+
+ints = st.integers(-12, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.tuples(ints, ints), st.tuples(ints, ints), st.integers(1, 5))
+def test_scaled_segment_matches_the_fraction_segment(Q, a, b, k):
+    assume(a != b)
+    seg = HalfOpenSegment._from_scaled(k * Q, (k * a[0], k * a[1]), (k * b[0], k * b[1]))
+    ref = HalfOpenSegment((F(a[0], Q), F(a[1], Q)), (F(b[0], Q), F(b[1], Q)))
+    assert seg == ref and hash(seg) == hash(ref) and repr(seg) == repr(ref)
+    assert (seg.open_end, seg.closed_end) == (ref.open_end, ref.closed_end)
+
+
+def fraction_overlap(s, t):
+    """`_segments_overlap` in `Fraction` arithmetic, kept as its oracle."""
+    if cross(s.open_end, s.closed_end, t.open_end) != 0:
+        return False
+    if cross(s.open_end, s.closed_end, t.closed_end) != 0:
+        return False
+    d = (s.closed_end[0] - s.open_end[0], s.closed_end[1] - s.open_end[1])
+
+    def param(p):
+        if d[0] != 0:
+            return (p[0] - s.open_end[0]) / d[0]
+        return (p[1] - s.open_end[1]) / d[1]
+
+    lo2, hi2 = sorted((param(t.open_end), param(t.closed_end)))
+    return max(F(0), lo2) < min(F(1), hi2)
+
+
+# steps along a line from a base point, so that ends often coincide
+steps = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
+
+
+@st.composite
+def segment_pairs(draw):
+    """Two segments on one line (vertical and horizontal lines included),
+    touching, nested, reversed or apart, or the second one moved off the
+    line at one or both ends."""
+    coord = st.fractions(-2, 2, max_denominator=4)
+    base = draw(st.tuples(coord, coord))
+    r = draw(st.sampled_from([(0, 1), (0, -2), (1, 0), (-3, 0), (2, 3), (-1, 2)]))
+
+    def at(k, off=0):
+        return (base[0] + k * r[0] - off * r[1], base[1] + k * r[1] + off * r[0])
+
+    s = draw(st.lists(steps, min_size=2, max_size=2, unique=True))
+    t = draw(st.lists(steps, min_size=2, max_size=2, unique=True))
+    offs = draw(st.sampled_from([(0, 0), (0, 0), (0, F(1, 2)), (F(1, 3), F(1, 3))]))
+    return (HalfOpenSegment(at(s[0]), at(s[1])),
+            HalfOpenSegment(at(t[0], offs[0]), at(t[1], offs[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_pairs())
+def test_segments_overlap_matches_the_fraction_test(pair):
+    s, t = pair
+    assert _segments_overlap(s, t) == fraction_overlap(s, t)
+    assert _segments_overlap(t, s) == fraction_overlap(t, s)
+
+
+def test_segments_overlap_edge_cases():
+    a, b, c = (0, 0), (0, 2), (0, 3)  # vertical
+    cases = [((a, b), (b, c), False),  # touching at one end
+             ((a, b), (c, b), False),  # touching, reversed
+             ((a, c), (b, a), True),   # nested, reversed
+             ((b, a), (a, b), True),   # the same segment reversed
+             ((a, b), ((1, 0), (1, 2)), False)]  # parallel
+    for (p, q), (u, v), overlap in cases:
+        s, t = HalfOpenSegment(p, q), HalfOpenSegment(u, v)
+        assert _segments_overlap(s, t) == fraction_overlap(s, t) == overlap

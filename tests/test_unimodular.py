@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,7 @@ from ehrpoly import (
     apply_to_polygon,
     iterate,
     lattice_count,
+    pip_b1,
     point,
     primitive,
     region,
@@ -314,3 +317,76 @@ class TestApplyPiecewiseProperties:
             amap = m.side_map(sign)
             assert apply_piecewise(m, Q) == SemiOpenRegion(
                 Polygon([amap.apply(p) for p in Q.vertices]))
+
+
+@st.composite
+def unimodular_maps(draw):
+    """A product of three shears, maybe times a reflection, then an integer translation."""
+    m = AffineUnimodular(1, draw(small), 0, 1).compose(AffineUnimodular(1, 0, draw(small), 1))
+    m = m.compose(AffineUnimodular(1, draw(small), 0, 1))
+    if draw(st.booleans()):
+        m = m.compose(AffineUnimodular(0, 1, 1, 0))
+    return AffineUnimodular(1, 0, 0, 1, draw(small), draw(small)).compose(m)
+
+
+@st.composite
+def side_map_pairs(draw):
+    """A rational anchor, a direction and two det +-1 maps with integer
+    translations: the second is the first after a shear that fixes the
+    line, after a shear that fixes one of two points on it, or drawn on its own."""
+    first = draw(unimodular_maps())
+    A = draw(st.tuples(unit, st.fractions(min_value=-2, max_value=2, max_denominator=4)))
+    r = draw(st.tuples(small, small).filter(lambda r: r != (0, 0)))
+    (u, v), k = primitive(r), draw(small)
+    kind = draw(st.sampled_from(["fixes the line", "fixes one point", "any"]))
+    if kind == "fixes the line":
+        # x |-> x + k (u y - v x - c) (u, v) fixes u y - v x = c; k*c is an integer
+        c = u * A[1] - v * A[0]
+        k *= c.denominator
+        kc = int(k * c)
+        second = first.compose(AffineUnimodular(
+            1 - k * u * v, k * u * u, -k * v * v, 1 + k * u * v, -kc * u, -kc * v))
+    elif kind == "fixes one point":
+        # x |-> B + N (x - B) with N = ((1, q k), (0, 1)), for B the anchor or
+        # the anchor plus (u, v), and q their denominator
+        B = draw(st.sampled_from([A, (A[0] + u, A[1] + v)]))
+        q = math.lcm(A[0].denominator, A[1].denominator)
+        second = first.compose(AffineUnimodular(1, q * k, 0, 1, int(-q * k * B[1]), 0))
+    else:
+        second = draw(unimodular_maps())
+    return A, r, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_map_pairs())
+def test_side_maps_must_agree_at_the_anchor_and_one_step_along_the_line(case):
+    A, r, first, second = case
+    u, v = primitive(r)
+    agree = all(first.apply(p) == second.apply(p) for p in (A, (A[0] + u, A[1] + v)))
+    if agree:
+        PiecewiseUnimodularMap(A, r, first, second)
+    else:
+        with pytest.raises(ValueError, match="disagree"):
+            PiecewiseUnimodularMap(A, r, first, second)
+
+
+def test_construction_chains_make_no_fractions():
+    # count the Fractions made while iterate or apply_disjoint is running
+    watched, new = {iterate.__code__, apply_disjoint.__code__}, F.__new__.__code__
+    depth, entered, made = 0, 0, 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, entered, made
+        if frame.f_code in watched and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+            entered += event == "call"
+        elif event == "call" and frame.f_code is new and depth:
+            made += 1
+
+    sys.setprofile(profile)
+    try:
+        for I in (1, 2, 3):
+            pip_b1(I)
+    finally:
+        sys.setprofile(None)
+    assert entered > 0 and made == 0
