@@ -15,6 +15,7 @@ bytes for identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -186,7 +187,11 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call, built by the first one.  Each parse
+    makes a fresh namespace, and the subcommands look up what they call
+    (`verify.SUITES` included) when they run, so calls share no state."""
     ap = argparse.ArgumentParser(
         prog="ehrpoly",
         description="Exact Ehrhart quasi-polynomials of rational polygons")

@@ -7,11 +7,13 @@ exact.  A polygon stores its vertices once as integers over their common
 denominator Q, and builds their `Fraction`s only when `vertices` is read.
 Its validity checks, convex hulls and unions, dilates, translates, areas,
 containment, lattice and boundary counts, and the lattice points of
-segments run on integers; one lattice-line formula (`_lattice_line`)
-serves every segment, and one edge test (`_edge_sides`) every question of
-which side of an edge a point lies on.  Hulls, unions, dilates and
-translates build their polygons from integers through one unchecked
-constructor (`Polygon._from_scaled`).
+segments, boundaries and dilates run on integers; one lattice-line formula
+(`_lattice_line`) serves every segment, one edge test (`_edge_sides`)
+every question of which side of an edge a point lies on, and one set of
+edge half-planes (`_half_planes`) the row bounds of `lattice_points` and
+the naive counter.  Hulls, unions, dilates and translates build their
+polygons from integers through one unchecked constructor
+(`Polygon._from_scaled`).
 
 Three independent lattice counters are provided:
 
@@ -20,16 +22,18 @@ Three independent lattice counters are provided:
 * ``lattice_count_naive`` -- full bounding-box scan, O(area * edges)
 
 They must always agree; the slower ones exist as oracles for the faster.
-The first count of a polygon builds its counting plan (each edge of the
-integer vertices as a floor-sum term), which every later count of any
-dilate evaluates with a few floor divisions.  The lattice line of each
-edge is kept the same way (`_edge_lines`), for the boundary counts of
-every dilate and for the Ehrhart engine.
+The row scan keeps its own `Fraction` edge crossings (`_rows`), which
+nothing else reads.  The first count of a polygon builds its counting
+plan (each edge of the integer vertices as a floor-sum term), which every
+later count of any dilate evaluates with a few floor divisions.  The
+lattice line of each edge is kept the same way (`_edge_lines`), for the
+boundary counts of every dilate and for the Ehrhart engine.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -371,6 +375,12 @@ def segment_lattice_points(a: Point, b: Point) -> list[tuple[int, int]]:
     if a == b:
         raise ZeroVector("degenerate segment")
     Q, (A, B) = _scale((a, b))
+    return _segment_points(Q, A, B)
+
+
+def _segment_points(Q: int, A: tuple[int, int], B: tuple[int, int]) -> list[tuple[int, int]]:
+    """Integer points on the closed segment from A/Q to B/Q (A != B integer
+    points), in order from A/Q."""
     c, k, g, u, v = _lattice_line(A, B)
     if c % Q:
         return []
@@ -511,7 +521,8 @@ def _row_interval(P_scaled: list[Point], y: Fraction) -> tuple[Fraction, Fractio
 
 def _rows(P: Polygon, n: int) -> Iterator[tuple[int, int, int]]:
     """(y, first x, last x) of each integer row of nP, from the exact
-    `Fraction` edge crossings; a row without lattice points has last < first."""
+    `Fraction` edge crossings; a row without lattice points has last < first.
+    Only the row-scan oracle reads this."""
     verts = [vec_scale(v, n) for v in P.vertices]
     ymin = min(v[1] for v in verts)
     ymax = max(v[1] for v in verts)
@@ -531,16 +542,7 @@ def lattice_count_naive(P: Polygon, n: int) -> int:
     """|nP ∩ Z^2| by testing every bounding-box point against every edge."""
     _check_dilation(n)
     Q, V = P._Q, P._V
-    m = len(V)
-    # point (x, y) is inside iff for every edge, cross >= 0 after clearing Q:
-    #   (bx-ax)*(Q*y - n*ay) - (by-ay)*(Q*x - n*ax) >= 0
-    coeffs = []
-    for i in range(m):
-        (ax, ay), (bx, by) = V[i], V[(i + 1) % m]
-        cx = -(by - ay) * Q
-        cy = (bx - ax) * Q
-        c0 = (by - ay) * n * ax - (bx - ax) * n * ay
-        coeffs.append((cx, cy, c0))
+    coeffs = _half_planes(P, n)
     xs = [x for x, _ in V]
     ys = [y for _, y in V]
     xlo, xhi = -((-n * min(xs)) // Q), (n * max(xs)) // Q
@@ -559,10 +561,35 @@ def lattice_count_naive(P: Polygon, n: int) -> int:
     return count
 
 
+def _half_planes(P: Polygon, n: int) -> list[tuple[int, int, int]]:
+    """(cx, cy, c0) for each edge a -> b of P._V: (x, y) lies in nP iff
+    cx*x + cy*y + c0 >= 0 for every edge, the cross product
+    (bx-ax)*(Q*y - n*ay) - (by-ay)*(Q*x - n*ax) >= 0."""
+    Q, V = P._Q, P._V
+    return [(-(by - ay) * Q, (bx - ax) * Q, n * ((by - ay) * ax - (bx - ax) * ay))
+            for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
+
+
 def lattice_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
-    """Enumerate nP ∩ Z^2 row by row (exact)."""
+    """Enumerate nP ∩ Z^2 row by row, bottom to top and left to right.
+
+    Row y runs from the largest ceiling bound that a falling edge's
+    half-plane puts on x to the smallest floor bound of a rising edge's
+    (`_half_planes`); a horizontal edge bounds only the range of rows.
+    All integer, O(rows * edges) plus the points.
+    """
     _check_dilation(n)
-    return [(x, y) for y, first, last in _rows(P, n) for x in range(first, last + 1)]
+    planes = _half_planes(P, n)
+    # rising: x <= (cy*y + c0) / -cx; falling: x >= -(cy*y + c0) / cx
+    rising = [(cy, c0, -cx) for cx, cy, c0 in planes if cx < 0]
+    falling = [(cy, c0, cx) for cx, cy, c0 in planes if cx > 0]
+    Q, ys = P._Q, [y for _, y in P._V]
+    pts: list[tuple[int, int]] = []
+    for y in range(-(-n * min(ys) // Q), n * max(ys) // Q + 1):
+        first = -min([(cy * y + c0) // cx for cy, c0, cx in falling])
+        last = min([(cy * y + c0) // d for cy, c0, d in rising])
+        pts.extend(zip(range(first, last + 1), repeat(y)))
+    return pts
 
 
 def boundary_count(P: Polygon, n: int) -> int:
@@ -577,9 +604,12 @@ def boundary_count(P: Polygon, n: int) -> int:
 
 
 def boundary_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
+    """The lattice points on the boundary of nP, sorted."""
+    _check_dilation(n)
+    Q, V = P._Q, [(n * x, n * y) for x, y in P._V]
     pts: set[tuple[int, int]] = set()
-    for a, b in P.edges():
-        pts.update(segment_lattice_points(vec_scale(a, n), vec_scale(b, n)))
+    for a, b in zip(V, V[1:] + V[:1]):
+        pts.update(_segment_points(Q, a, b))
     return sorted(pts)
 
 
@@ -639,18 +669,27 @@ def integral_hull(P: Polygon) -> IntegralHull:
     return IntegralHull(lattice_points(P, 1))
 
 
-def convex_union(pieces: Sequence[Polygon]) -> Polygon:
-    """Union of interior-disjoint convex pieces, required to be convex.
+def _union_hull(pieces: Sequence[Polygon]) -> Polygon | None:
+    """The union of interior-disjoint convex pieces when it is convex, else
+    None.
 
     The hull of all vertices is the union iff its area equals the sum of
-    the piece areas; anything else raises.  Both run on the integer
-    vertices over the lcm Q of the pieces' denominators.
+    the piece areas.  Both run on the integer vertices over the lcm Q of
+    the pieces' denominators.
     """
     Q = math.lcm(*(p._Q for p in pieces))
     hull = _scaled_hull(Q, [(x * (Q // p._Q), y * (Q // p._Q)) for p in pieces for x, y in p._V])
     total = sum(_shoelace(p._V) * (Q // p._Q) ** 2 for p in pieces)
-    if _shoelace(hull._V) * (Q // hull._Q) ** 2 != total:
+    return hull if _shoelace(hull._V) * (Q // hull._Q) ** 2 == total else None
+
+
+def convex_union(pieces: Sequence[Polygon]) -> Polygon:
+    """Union of interior-disjoint convex pieces, required to be convex;
+    anything else raises (see `_union_hull`)."""
+    hull = _union_hull(pieces)
+    if hull is None:
+        hull = convex_hull([v for p in pieces for v in p.vertices])
         raise GeometryError(
             f"pieces do not tile a convex region (hull area {area(hull)}, "
-            f"piece areas sum to {Fraction(total, 2 * Q * Q)})")
+            f"piece areas sum to {sum(map(area, pieces))})")
     return hull

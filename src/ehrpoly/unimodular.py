@@ -20,7 +20,7 @@ can end in a genuinely closed polygon.
 Cells are cut, mapped and glued on their integer vertices over their
 denominator: one side formula (`PiecewiseUnimodularMap._side`) places
 vertices and segment ends, `_scaled_hull` builds each cut and mapped cell,
-and `convex_union` glues them.  Removed segments and the seam of a
+and `_union_hull` glues them.  Removed segments and the seam of a
 non-convex image are cut, mapped and chained on their integer ends over
 their denominator the same way.
 """
@@ -40,7 +40,7 @@ from .geometry import (
     _edge_sides,
     _scale,
     _scaled_hull,
-    convex_union,
+    _union_hull,
     is_lattice,
     point,
     primitive,
@@ -297,11 +297,10 @@ def _reassemble(mapped: list[tuple[Polygon, list[HalfOpenSegment]]],
     if len(mapped) == 1:
         P, segs = mapped[0]
         return SemiOpenRegion(P, _merge_removed(segs))
-    try:
-        hull = convex_union([P for P, _ in mapped])
-    except GeometryError:
+    hull = _union_hull([P for P, _ in mapped])
+    if hull is None:
         if len(mapped) != 2 or seam is None:
-            raise InvalidRegion("cannot represent a non-convex union of these pieces") from None
+            raise InvalidRegion("cannot represent a non-convex union of these pieces")
         return RegionUnion(
             [SemiOpenRegion(P, _merge_removed(segs)) for P, segs in mapped], seam)
 

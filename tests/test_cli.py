@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ehrpoly import Polygon
-from ehrpoly.cli import main
+from ehrpoly.cli import build_parser, main
 from ehrpoly.jsonio import dumps, polygon_to_json
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -48,6 +48,20 @@ def test_construct_malformed_anchor_exits_2_naming_the_option(capsys, anchor):
     code, out, err = run(capsys, "construct", "triangle-q", "--t", "2", "--anchor", anchor)
     assert code == 2 and out == ""
     assert "--anchor" in err and "x,y" in err and repr(anchor) in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_share_no_parser_state(tmp_path, capsys):
+    path = tmp_path / "b2.json"
+    code, out, _ = run(capsys, "construct", "pip-b2", "--I", "2", "-o", str(path))
+    assert code == 0 and out == "" and path.read_text()
+    code, out, err = run(capsys, "construct", "pip-b2")
+    assert code == 2 and out == "" and "--I" in err
+    code, out, _ = run(capsys, "construct", "pip-b2", "--I", "2")
+    assert code == 0 and out == path.read_text()
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,7 @@ from ehrpoly import (
     segment_lattice_count,
     segment_lattice_points,
 )
-from ehrpoly.geometry import GeometryError, cross, point_on_segment
+from ehrpoly.geometry import GeometryError, _rows, cross, point_on_segment
 from ehrpoly.sampling import polygon_corpus
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -266,6 +267,76 @@ def rational_polygons(draw):
         assume(False)
 
 
+@st.composite
+def trapezoids(draw):
+    """Random rational polygons with a horizontal bottom and top edge."""
+    y0, y1 = sorted(draw(st.lists(frac6, min_size=2, max_size=2, unique=True)))
+    b0, b1 = sorted(draw(st.lists(frac6, min_size=2, max_size=2, unique=True)))
+    t0, t1 = sorted(draw(st.lists(frac6, min_size=2, max_size=2, unique=True)))
+    return Polygon([(b0, y0), (b1, y0), (t1, y1), (t0, y1)])
+
+
+def fractions_made(watched, action):
+    """(calls of the functions in `watched`, Fractions made while one of
+    them runs, what `action()` returns), counted with `sys.setprofile`."""
+    codes, new = {f.__code__ for f in watched}, F.__new__.__code__
+    depth = entered = made = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, entered, made
+        if frame.f_code in codes and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+            entered += event == "call"
+        elif event == "call" and frame.f_code is new and depth:
+            made += 1
+
+    sys.setprofile(profile)
+    try:
+        result = action()
+    finally:
+        sys.setprofile(None)
+    return entered, made, result
+
+
+def _row_scan_points(P, n):
+    """nP ∩ Z^2 from the `Fraction` row crossings of the row-scan oracle."""
+    return [(x, y) for y, first, last in _rows(P, n) for x in range(first, last + 1)]
+
+
+class TestLatticePoints:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(rational_polygons(), trapezoids()), st.integers(min_value=1, max_value=6))
+    def test_matches_the_row_scan(self, P, n):
+        assert lattice_points(P, n) == _row_scan_points(P, n)
+
+    @pytest.mark.parametrize("P, pts, empty_rows", [
+        # a sliver: rows 1, 2, 4 and 5 cross it between two lattice points
+        (Polygon([(0, 0), (F(1, 3), 0), (2, 6)]), [(0, 0), (1, 3), (2, 6)], 4),
+        # horizontal edges at y = 1/3 and on the row y = 2
+        (Polygon([(F(-1, 2), F(1, 3)), (F(5, 2), F(1, 3)), (2, 2), (0, 2)]),
+         [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)], 0),
+    ])
+    def test_examples(self, P, pts, empty_rows):
+        assert lattice_points(P, 1) == pts
+        assert sum(last < first for _, first, last in _rows(P, 1)) == empty_rows
+        for n in range(1, 7):
+            assert lattice_points(P, n) == _row_scan_points(P, n)
+
+    def test_makes_no_fractions(self):
+        P = Polygon._from_scaled(15, [(0, 0), (40, 3), (7, 22)])
+        entered, made, pts = fractions_made(
+            {lattice_points}, lambda: [lattice_points(P, n) for n in (1, 2, 3)])
+        assert entered == 3 and made == 0
+        assert pts == [_row_scan_points(P, n) for n in (1, 2, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons(), st.integers(min_value=1, max_value=4))
+    def test_boundary_points_are_the_lattice_points_on_the_boundary(self, P, n):
+        Pn = P.dilate(n)
+        on_boundary = [p for p in lattice_points(P, n) if Pn.on_boundary(point(*p))]
+        assert boundary_points(P, n) == sorted(on_boundary)
+
+
 class TestContainment:
     @settings(max_examples=60, deadline=None)
     @given(rational_polygons(), st.lists(st.tuples(frac6, frac6), max_size=12))
@@ -368,6 +439,14 @@ class TestConvexUnion:
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(GeometryError):
             convex_union([SQUARE, Polygon([(0, 0), (1, 0), (1, 1)])])
+
+    def test_rejection_names_both_areas(self):
+        t1 = Polygon([(0, 0), (1, 0), (1, 1)])
+        t2 = Polygon([(1, 0), (3, 0), (3, 1)])
+        with pytest.raises(GeometryError) as exc:
+            convex_union([t1, t2])
+        assert str(exc.value) == ("pieces do not tile a convex region "
+                                  "(hull area 5/2, piece areas sum to 3/2)")
 
 
 def test_pick_on_integral_polygons():

@@ -1,5 +1,4 @@
 import math
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +31,7 @@ from ehrpoly import (
 )
 from ehrpoly.ehrhart import region_denominator
 from ehrpoly.unimodular import IDENTITY
-from test_geometry import rational_polygons
+from test_geometry import fractions_made, rational_polygons
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -372,21 +371,13 @@ def test_side_maps_must_agree_at_the_anchor_and_one_step_along_the_line(case):
 
 def test_construction_chains_make_no_fractions():
     # count the Fractions made while iterate or apply_disjoint is running
-    watched, new = {iterate.__code__, apply_disjoint.__code__}, F.__new__.__code__
-    depth, entered, made = 0, 0, 0
-
-    def profile(frame, event, arg):
-        nonlocal depth, entered, made
-        if frame.f_code in watched and event in ("call", "return"):
-            depth += 1 if event == "call" else -1
-            entered += event == "call"
-        elif event == "call" and frame.f_code is new and depth:
-            made += 1
-
-    sys.setprofile(profile)
-    try:
-        for I in (1, 2, 3):
-            pip_b1(I)
-    finally:
-        sys.setprofile(None)
+    entered, made, _ = fractions_made({iterate, apply_disjoint},
+                                      lambda: [pip_b1(I) for I in (1, 2, 3)])
     assert entered > 0 and made == 0
+
+
+def test_nonconvex_image_makes_no_fractions():
+    m, big = skew_plus((0, -1)), Polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    entered, made, out = fractions_made({apply_piecewise}, lambda: apply_piecewise(m, big))
+    assert isinstance(out, RegionUnion)
+    assert entered == 1 and made == 0
