@@ -54,9 +54,10 @@ def cmd_analyze(args) -> int:
     b = boundary_count(P, 1)
     I = lattice_count(P, 1) - b
     applicable, holds = cons.integral_hull_proposition_check(P, I=I, b=b)
+    A = area(P)
     out = {
         "polygon": jsonio.polygon_to_json(P),
-        "area": jsonio.fraction_to_ratio(area(P)),
+        "area": jsonio.fraction_to_ratio(A),
         "interior_points": I,
         "boundary_points": b,
         "ehrhart": jsonio.quasi_to_json(q),
@@ -64,7 +65,7 @@ def cmd_analyze(args) -> int:
         "quasi_period": ps.quasi_period,
         "is_pip": ps.quasi_period == 1,
         "mcmullen_indices": list(mcmullen_indices(P)),
-        "pick_holds": area(P) == I + Fraction(b, 2) - 1,
+        "pick_holds": A == I + Fraction(b, 2) - 1,
         "scott": {
             "admissible_as_integral": cons.scott_admissible(I, b),
             "inequality_holds": cons.scott_inequality_holds(I, b),

@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 from .geometry import (
     Polygon,
+    _area_numerator,
     _edge_lines,
     _segment_count,
-    _shoelace,
     lattice_count,
 )
 from .regions import HalfOpenSegment, RegionUnion, SemiOpenRegion, region_count
@@ -118,11 +118,6 @@ def _denominator(polys, segs) -> int:
     """lcm of the denominators Q that `_pieces` holds for each polygon and
     segment."""
     return math.lcm(*(P._Q for P in polys), *(s._Q for s in segs))
-
-
-def _area_numerator(D: int, polys) -> int:
-    """2D^2 * c2: the shoelace sums of the integer vertices, over 2Q^2 each."""
-    return sum(_shoelace(P._V) * (D // P._Q) ** 2 for P in polys)
 
 
 def _linear_numerators(D: int, polys, segs) -> list[int]:

@@ -142,8 +142,7 @@ class Polygon:
     def vertices(self) -> tuple[Point, ...]:
         vs = self._vertices
         if vs is None:
-            Q = self._Q
-            vs = self._vertices = tuple((Fraction(x, Q), Fraction(y, Q)) for x, y in self._V)
+            vs = self._vertices = tuple(_unscale(self._Q, v) for v in self._V)
         return vs
 
     # (_Q, _V) is canonical: Q is the least common denominator and V starts
@@ -199,6 +198,11 @@ def _scale(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
     Q = coord_lcm(points)
     return Q, [(x.numerator * (Q // x.denominator), y.numerator * (Q // y.denominator))
                for x, y in points]
+
+
+def _unscale(Q: int, p: tuple[int, int]) -> Point:
+    """The rational point p / Q, for an integer pair p: `_scale` undone."""
+    return (Fraction(p[0], Q), Fraction(p[1], Q))
 
 
 def _edge_sides(P: Polygon, d: int, p: tuple[int, int]) -> list[int]:
@@ -266,6 +270,12 @@ def _scaled_hull(Q: int, V: Iterable[tuple[int, int]]) -> Polygon:
 def _shoelace(V: Sequence[tuple[int, int]]) -> int:
     """Twice the signed area of the integer vertex cycle V."""
     return sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(V, V[1:] + V[:1]))
+
+
+def _area_numerator(D: int, polys: Iterable[Polygon]) -> int:
+    """2D^2 times the total area of the polygons, for D a multiple of each
+    one's Q: the shoelace sums of the integer vertices, over 2Q^2 each."""
+    return sum(_shoelace(P._V) * (D // P._Q) ** 2 for P in polys)
 
 
 def area(P: Polygon) -> Fraction:
@@ -679,8 +689,7 @@ def _union_hull(pieces: Sequence[Polygon]) -> Polygon | None:
     """
     Q = math.lcm(*(p._Q for p in pieces))
     hull = _scaled_hull(Q, [(x * (Q // p._Q), y * (Q // p._Q)) for p in pieces for x, y in p._V])
-    total = sum(_shoelace(p._V) * (Q // p._Q) ** 2 for p in pieces)
-    return hull if _shoelace(hull._V) * (Q // hull._Q) ** 2 == total else None
+    return hull if _area_numerator(Q, [hull]) == _area_numerator(Q, pieces) else None
 
 
 def convex_union(pieces: Sequence[Polygon]) -> Polygon:

@@ -11,7 +11,6 @@ and whether two segments overlap run on those integers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .geometry import (
     Point,
@@ -22,6 +21,7 @@ from .geometry import (
     _lattice_line,
     _scale,
     _segment_count,
+    _unscale,
     lattice_count,
     lattice_points,
     point,
@@ -65,11 +65,11 @@ class HalfOpenSegment:
 
     @property
     def open_end(self) -> Point:
-        return (Fraction(self._a[0], self._Q), Fraction(self._a[1], self._Q))
+        return _unscale(self._Q, self._a)
 
     @property
     def closed_end(self) -> Point:
-        return (Fraction(self._b[0], self._Q), Fraction(self._b[1], self._Q))
+        return _unscale(self._Q, self._b)
 
     # (_Q, _a, _b) is canonical: Q is the least common denominator
     def __eq__(self, other) -> bool:

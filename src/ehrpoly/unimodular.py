@@ -19,16 +19,17 @@ can end in a genuinely closed polygon.
 
 Cells are cut, mapped and glued on their integer vertices over their
 denominator: one side formula (`PiecewiseUnimodularMap._side`) places
-vertices and segment ends, `_scaled_hull` builds each cut and mapped cell,
-and `_union_hull` glues them.  Removed segments and the seam of a
-non-convex image are cut, mapped and chained on their integer ends over
-their denominator the same way.
+vertices and segment ends, one map formula (`_map_scaled`) moves them,
+`_scaled_hull` builds each cut and mapped cell, and `_union_hull` glues
+them.  Removed segments and the seam of a non-convex image are cut, mapped
+and chained on their integer ends over their denominator the same way.
+The `apply` methods on a single point scale it and use the same two
+formulas.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
@@ -41,6 +42,7 @@ from .geometry import (
     _scale,
     _scaled_hull,
     _union_hull,
+    _unscale,
     is_lattice,
     point,
     primitive,
@@ -86,9 +88,8 @@ class AffineUnimodular:
         return self.m00 * self.m11 - self.m01 * self.m10
 
     def apply(self, p: Point) -> Point:
-        x, y = Fraction(p[0]), Fraction(p[1])
-        return (self.m00 * x + self.m01 * y + self.tx,
-                self.m10 * x + self.m11 * y + self.ty)
+        Q, V = _scale([point(*p)])
+        return _unscale(Q, _map_scaled(self, Q, V)[0])
 
     def compose(self, other: "AffineUnimodular") -> "AffineUnimodular":
         """self after other."""
@@ -165,7 +166,8 @@ class PiecewiseUnimodularMap:
         return self.positive_side_map if sign >= 0 else self.negative_side_map
 
     def apply(self, p: Point) -> Point:
-        return self.side_map(self.side(p)).apply(p)
+        Q, V = _scale([point(*p)])
+        return _unscale(Q, _map_scaled(self.side_map(self._side(Q, V[0])), Q, V)[0])
 
 
 def _map_scaled(m: AffineUnimodular, Q: int, V) -> list[tuple[int, int]]:
@@ -185,8 +187,7 @@ def _conjugate_by_translation(m: AffineUnimodular, u: tuple[int, int]) -> Affine
 
 def skew_plus(r: Vector) -> PiecewiseUnimodularMap:
     """skew(r) where det(r, x) >= 0, identity elsewhere."""
-    return PiecewiseUnimodularMap((Fraction(0), Fraction(0)), primitive(r),
-                                  skew(r), IDENTITY)
+    return PiecewiseUnimodularMap((0, 0), primitive(r), skew(r), IDENTITY)
 
 
 def skew_minus(r: Vector) -> PiecewiseUnimodularMap:
@@ -196,8 +197,7 @@ def skew_minus(r: Vector) -> PiecewiseUnimodularMap:
     inverse applies the inverse shear there and the identity on the other
     side.
     """
-    return PiecewiseUnimodularMap((Fraction(0), Fraction(0)), primitive(r),
-                                  IDENTITY, skew(r).inverse())
+    return PiecewiseUnimodularMap((0, 0), primitive(r), IDENTITY, skew(r).inverse())
 
 
 def affine_skew(u, w, sign: str) -> PiecewiseUnimodularMap:

@@ -381,3 +381,26 @@ def test_nonconvex_image_makes_no_fractions():
     entered, made, out = fractions_made({apply_piecewise}, lambda: apply_piecewise(m, big))
     assert isinstance(out, RegionUnion)
     assert entered == 1 and made == 0
+
+
+def _matrix_product(m: AffineUnimodular, p) -> tuple[F, F]:
+    """M p + t written out in Fraction arithmetic, independent of the integer path."""
+    x, y = F(p[0]), F(p[1])
+    return (m.m00 * x + m.m01 * y + m.tx, m.m10 * x + m.m11 * y + m.ty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_maps(), piecewise_maps(), st.tuples(unit, unit), st.tuples(small, small),
+       st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_apply_matches_the_matrix_product(m, pm, f, shift, k):
+    p = (f[0] + shift[0], f[1] + shift[1])
+    # a point on the splitting line, where either side's map may act
+    (u, v), A = pm.direction, pm.anchor
+    on_line = (A[0] + k * u, A[1] + k * v)
+    assert m.apply(p) == _matrix_product(m, p)
+    for q in (p, on_line, shift):
+        side = u * (F(q[1]) - A[1]) - v * (F(q[0]) - A[0])
+        want = _matrix_product(pm.positive_side_map if side >= 0 else pm.negative_side_map, q)
+        got = pm.apply(q)
+        assert got == want and all(type(c) is F for c in got)
+    assert all(type(c) is F for c in m.apply(shift))
