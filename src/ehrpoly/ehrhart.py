@@ -14,7 +14,9 @@ at r is checked against the count at D - r.  The two residues paired with
 themselves get their own checks: the constant term of the integral
 polygon DP is 1, and, when D is even, one more count at n = 3D/2 must match
 the tables.  A failed check raises VerificationFailure.  Everything runs on
-integers over 2D^2; only the finished coefficients become Fractions.
+integers over 2D^2, and the tables stay integers over one reduced
+denominator: periods and JSON are taken from the integers, and a table
+becomes Fractions only when its `c2`, `c1` or `c0` view is read.
 
 `is_pip` builds no tables.  A c1 that is not constant rules a polynomial
 out at once; otherwise the test stops at the first count that leaves
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import (
@@ -49,34 +52,70 @@ class PeriodSequence(NamedTuple):
     quasi_period: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EhrhartQuasiPolynomial:
     """Degree-2 quasi-polynomial as per-residue coefficient tables.
 
-    `c2[r]`, `c1[r]`, `c0[r]` hold the coefficients valid for n ≡ r (mod
-    modulus); tables are tuples of Fractions indexed by r in 0..modulus-1.
+    The coefficients valid for n ≡ r (mod modulus) are `a2[r] / den`,
+    `a1[r] / den` and `a0[r] / den`: three tuples of integers indexed by r
+    in 0..modulus-1 over one denominator, divided by the gcd of all of
+    them, so equal quasi-polynomials have equal tuples and hash alike.
+    `c2`, `c1` and `c0` are the same tables as Fractions, built when first
+    read.  The constructor takes tables of Fractions (or ints).
     """
 
     modulus: int
-    c2: tuple[Fraction, ...]
-    c1: tuple[Fraction, ...]
-    c0: tuple[Fraction, ...]
-    _periods: PeriodSequence | None = field(
-        default=None, init=False, compare=False, repr=False)
+    den: int
+    a2: tuple[int, ...]
+    a1: tuple[int, ...]
+    a0: tuple[int, ...]
+    _periods: PeriodSequence | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, modulus: int, c2, c1, c0):
+        tables = (c2, c1, c0)
+        if any(len(t) != modulus for t in tables):
+            raise ValueError(f"coefficient tables must have {modulus} entries, "
+                             f"got {tuple(len(t) for t in tables)}")
+        # the lcm of the reduced denominators is already the least one
+        den = math.lcm(*(x.denominator for t in tables for x in t))
+        self._set(modulus, den, *(tuple(x.numerator * (den // x.denominator) for x in t)
+                                  for t in tables))
+
+    @classmethod
+    def _from_ints(cls, modulus: int, den: int, *tables: list[int]) -> EhrhartQuasiPolynomial:
+        """The tables a2, a1, a0 over den > 0, given as lists of integers;
+        the lists are divided in place by the gcd of den and all entries."""
+        g = math.gcd(den, *(math.gcd(*a) for a in tables))
+        if g > 1:
+            den //= g
+            for a in tables:
+                _divide(a, g)
+        q = cls.__new__(cls)
+        q._set(modulus, den, *map(tuple, tables))
+        return q
+
+    def _set(self, modulus: int, den: int, a2, a1, a0) -> None:
+        for name, value in (("modulus", modulus), ("den", den), ("a2", a2),
+                            ("a1", a1), ("a0", a0), ("_periods", None)):
+            object.__setattr__(self, name, value)
+
+    c2 = cached_property(lambda q: tuple(Fraction(x, q.den) for x in q.a2))
+    c1 = cached_property(lambda q: tuple(Fraction(x, q.den) for x in q.a1))
+    c0 = cached_property(lambda q: tuple(Fraction(x, q.den) for x in q.a0))
 
     def evaluate(self, n: int) -> Fraction:
         r = n % self.modulus
-        return self.c2[r] * n * n + self.c1[r] * n + self.c0[r]
+        return Fraction(self.a2[r] * n * n + self.a1[r] * n + self.a0[r], self.den)
 
     def coefficient(self, i: int, n: int) -> Fraction:
-        return (self.c0, self.c1, self.c2)[i][n % self.modulus]
+        return Fraction((self.a0, self.a1, self.a2)[i][n % self.modulus], self.den)
 
     def period_sequence(self) -> PeriodSequence:
         """The minimal periods, computed on the first call and kept."""
         if self._periods is None:
-            s2 = minimal_period(self.c2)
-            s1 = minimal_period(self.c1)
-            s0 = minimal_period(self.c0)
+            s2 = minimal_period(self.a2)
+            s1 = minimal_period(self.a1)
+            s0 = minimal_period(self.a0)
             object.__setattr__(self, "_periods",
                                PeriodSequence(s2, s1, s0, math.lcm(s0, s1, s2)))
         return self._periods
@@ -88,6 +127,16 @@ class EhrhartQuasiPolynomial:
     @property
     def is_polynomial(self) -> bool:
         return self.quasi_period == 1
+
+
+def _divide(a: list[int], g: int) -> None:
+    """Divide every entry of a by g in place, with one quotient per run of
+    equal entries, so a table of one repeated value keeps one object."""
+    x = q = None
+    for i, y in enumerate(a):
+        if y != x:
+            x, q = y, y // g
+        a[i] = q
 
 
 def region_denominator(R) -> int:
@@ -176,14 +225,14 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     den = 2 * D * D
     a2 = _area_numerator(D, polys)
     a1 = _linear_numerators(D, polys, segs)
-    counts = [0] + [region_count(R, n) for n in range(1, D + 1)]
     a0 = [0] * D
     for n in range(1, D + 1):
-        a0[n % D] = den * counts[n] - a2 * n * n - a1[n % D] * n
+        a0[n % D] = den * region_count(R, n) - a2 * n * n - a1[n % D] * n
     defects = _defects(D, polys, segs)
     for n in range(1, D + 1):
-        j = -n % D
-        got, want = a2 * n * n - a1[j] * n + a0[j], den * (counts[n] - defects[n])
+        i, j, sq = n % D, -n % D, a2 * n * n
+        # a0[i] + sq + a1[i] n is den times the count at n, by the loop above
+        got, want = sq - a1[j] * n + a0[j], a0[i] + sq + a1[i] * n - den * defects[n]
         if got != want:
             raise VerificationFailure(
                 f"reciprocity fails at n={n} (residue {n % D} mod {D}): the count at "
@@ -200,22 +249,19 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
             raise VerificationFailure(
                 f"tables give {Fraction(got, den)} != count {want // den} "
                 f"at n={n} (residue {h} mod {D})")
-    return EhrhartQuasiPolynomial(D, (Fraction(a2, den),) * D,
-                                  tuple(Fraction(x, den) for x in a1),
-                                  tuple(Fraction(x, den) for x in a0))
+    return EhrhartQuasiPolynomial._from_ints(D, den, [a2] * D, a1, a0)
 
 
 def minimal_period(values) -> int:
     """Smallest divisor p of len(values) with values[(i+p) % D] == values[i].
 
     Periods of an Ehrhart coefficient table always divide the modulus, so
-    only divisors need checking.
+    only divisors need checking; for a divisor p, the shift by p fixes the
+    table exactly when it fixes the first D - p entries.
     """
     D = len(values)
     for p in range(1, D + 1):
-        if D % p:
-            continue
-        if all(values[i] == values[(i + p) % D] for i in range(D)):
+        if D % p == 0 and values[p:] == values[:D - p]:
             return p
     raise AssertionError("unreachable: D is a period of itself")
 
@@ -296,9 +342,7 @@ def ehrhart_interpolated(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
     D = region_denominator(R)
     counts = [0] + [region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)]
     den = 2 * D * D
-    c2 = [Fraction(0)] * D
-    c1 = [Fraction(0)] * D
-    c0 = [Fraction(0)] * D
+    a2, a1, a0 = [0] * D, [0] * D, [0] * D
     for r in range(1, D + 1):
         v0, v1, v2 = counts[r], counts[r + D], counts[r + 2 * D]
         # the quadratic through them, in forward differences: value
@@ -313,7 +357,7 @@ def ehrhart_interpolated(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
                     f"(residue {r % D} mod {D})")
         # substituting k = (n - r)/D gives coefficients over 2D^2
         idx = r % D
-        c2[idx] = Fraction(d2, den)
-        c1[idx] = Fraction(2 * D * d1 - (2 * r + D) * d2, den)
-        c0[idx] = Fraction(den * v0 - 2 * r * D * d1 + r * (r + D) * d2, den)
-    return EhrhartQuasiPolynomial(D, tuple(c2), tuple(c1), tuple(c0))
+        a2[idx] = d2
+        a1[idx] = 2 * D * d1 - (2 * r + D) * d2
+        a0[idx] = den * v0 - 2 * r * D * d1 + r * (r + D) * d2
+    return EhrhartQuasiPolynomial._from_ints(D, den, a2, a1, a0)

@@ -16,6 +16,7 @@ Parsing errors always name the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .constructions import ConstructionTrace, SearchReport
@@ -123,19 +124,24 @@ def region_from_json(obj, path: str = "region") -> SemiOpenRegion:
         raise ParseError(f"{path}.removed", str(exc)) from None
 
 
-def _table_to_json(table) -> list[str]:
-    """Residue order 1..D-1 then 0, per the documented layout."""
-    D = len(table)
-    return [fraction_to_ratio(table[r % D]) for r in range(1, D + 1)]
+def _table_to_json(table: tuple[int, ...], den: int, period: int) -> list[str]:
+    """The entries table[r] / den in residue order 1..D-1 then 0, per the
+    documented layout; each of the first `period` entries is reduced and
+    written once, and the rest repeat them."""
+    first = []
+    for x in table[:period]:
+        g = math.gcd(x, den)
+        first.append(f"{x // g}/{den // g}")
+    return [first[r % period] for r in range(1, len(table) + 1)]
 
 
 def quasi_to_json(q: EhrhartQuasiPolynomial) -> dict:
     ps = q.period_sequence()
     return {
         "modulus": q.modulus,
-        "c2": _table_to_json(q.c2),
-        "c1": _table_to_json(q.c1),
-        "c0": _table_to_json(q.c0),
+        "c2": _table_to_json(q.a2, q.den, ps.s2),
+        "c1": _table_to_json(q.a1, q.den, ps.s1),
+        "c0": _table_to_json(q.a0, q.den, ps.s0),
         "period_sequence": [ps.s2, ps.s1, ps.s0],
         "quasi_period": ps.quasi_period,
     }

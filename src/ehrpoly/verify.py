@@ -160,6 +160,8 @@ def verify_transforms(max_I: int = 4) -> dict:
     s = _Suite("transforms")
     dirs = [(1, 0), (0, -1), (2, 3), (-3, 5), (Fraction(3, 2), Fraction(3, 4)),
             (-1, -1), (7, -2)]
+    grid = [(Fraction(x, 3), Fraction(y, 2)) for x in range(-6, 7, 2)
+            for y in range(-4, 5, 2)]
     for r in dirs:
         U = skew(r)
         s.check(f"skew{r} determinant 1", U.det == 1)
@@ -169,10 +171,8 @@ def verify_transforms(max_I: int = 4) -> dict:
         s.check(f"skew{r} = skew(primitive)", U == skew(rp))
         plus, minus = skew_plus(r), skew_minus(r)
         neg_plus = skew_plus((-r[0], -r[1]))
-        grid = [(Fraction(x, 3), Fraction(y, 2)) for x in range(-6, 7, 2)
-                for y in range(-4, 5, 2)]
         s.check(f"skew_minus{r} inverts skew_plus(-r)",
-                all(minus.apply(neg_plus.apply(p)) == geo.point(*p) for p in grid))
+                all(minus.apply(neg_plus.apply(p)) == p for p in grid))
         line_pts = [geo.vec_scale(geo.point(*rp), Fraction(k, 7)) for k in range(-10, 10)]
         s.check(f"U^+{r} continuous across its line",
                 all(plus.positive_side_map.apply(p) == plus.negative_side_map.apply(p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
@@ -167,6 +168,13 @@ def test_verify_transforms_passes(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_verify_transforms_report_is_pinned(capsys):
+    # names, order and verdict of every check: any change to them changes the digest
+    code, out, _ = run(capsys, "verify", "transforms", "--max-I", "3")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "86cd2fb144ae7240a35d4f8272b0254ef9796011cb9e64711c50a5112522c85c"
+
+
 def test_verify_mcmullen_passes(capsys):
     code, out, _ = run(capsys, "verify", "mcmullen", "--trials", "30", "--seed", "7")
     assert code == 0 and json.loads(out)["passed"] is True
@@ -295,3 +303,22 @@ def test_construct_byte_identical_runs(capsys):
     _, out1, _ = run(capsys, "construct", "heptagon", "--s", "4")
     _, out2, _ = run(capsys, "construct", "heptagon", "--s", "4")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("vertices, digest", [
+    # the README polygon, D = 3
+    ([(0, -1), (F(1, 3), F(1, 3)), (F(-1, 3), F(2, 3))],
+     "86a15c9f08edebe31939e656f11fa2359a9e87c9f357fb9f10af20e7c5da1591"),
+    # a pentagon with D = 997: tables of 997 residues, c1 and c0 of full period
+    ([(0, 0), (F(4001, 997), F(1, 997)), (6, F(2995, 997)), (F(3, 997), 5), (F(-1000, 997), 2)],
+     "318c7565e992380631017e24a2b8ff29654a276832b881cad4d78b32597a6f8a"),
+    # a quadrilateral with D = 2
+    ([(F(1, 2), 0), (3, F(1, 2)), (F(5, 2), 3), (0, F(3, 2))],
+     "45ee5baa2ec6172be896b07dd97234193fe151ed29e39dad07b703a16131e883"),
+])
+def test_analyze_reports_are_pinned(tmp_path, capsys, vertices, digest):
+    # pins every byte of the report, the coefficient tables included
+    f = tmp_path / "polygon.json"
+    f.write_text(dumps(polygon_to_json(Polygon(vertices))))
+    code, out, _ = run(capsys, "analyze", str(f))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

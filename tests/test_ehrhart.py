@@ -31,10 +31,12 @@ from ehrpoly import (
     skew_plus,
     triangle_q,
 )
-from ehrpoly.ehrhart import ehrhart_interpolated, region_denominator
+from ehrpoly.ehrhart import EhrhartQuasiPolynomial, ehrhart_interpolated, region_denominator
+from ehrpoly.jsonio import quasi_to_json
 from ehrpoly.regions import HalfOpenSegment, SemiOpenRegion
 from ehrpoly.sampling import polygon_corpus
-from test_geometry import rational_polygons
+from test_geometry import fractions_made, rational_polygons
+from test_unimodular import regions
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 FRAC3 = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -269,6 +271,57 @@ class TestIsPip:
             assert not eh.is_pip(kite)
 
 
+def _reference_quasi_json(q):
+    """quasi_to_json written from the Fraction views, one num/den string
+    per entry and periods compared as Fractions."""
+    def table(c):
+        D = len(c)
+        return [f"{c[r % D].numerator}/{c[r % D].denominator}" for r in range(1, D + 1)]
+
+    periods = [minimal_period(c) for c in (q.c2, q.c1, q.c0)]
+    return {"modulus": q.modulus, "c2": table(q.c2), "c1": table(q.c1), "c0": table(q.c0),
+            "period_sequence": periods, "quasi_period": math.lcm(*periods)}
+
+
+class TestIntegerTables:
+    """The tables are integers over one reduced denominator; the Fraction
+    views, the periods and the JSON read them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(regions())
+    def test_ints_agree_with_their_fraction_views(self, R):
+        q = ehrhart(R)
+        fit = ehrhart_interpolated(R)
+        assert q == fit and hash(q) == hash(fit)
+        assert math.gcd(q.den, *q.a2, *q.a1, *q.a0) == 1
+        for a, c in ((q.a2, q.c2), (q.a1, q.c1), (q.a0, q.c0)):
+            assert len(a) == q.modulus and c == tuple(F(x, q.den) for x in a)
+            assert minimal_period(a) == minimal_period(c)
+        assert quasi_to_json(q) == _reference_quasi_json(q)
+        built = EhrhartQuasiPolynomial(q.modulus, q.c2, q.c1, q.c0)
+        assert built == q and hash(built) == hash(q)
+        assert (built.den, built.a2, built.a1, built.a0) == (q.den, q.a2, q.a1, q.a0)
+
+    def test_constructor_takes_fractions_and_ints(self):
+        q = EhrhartQuasiPolynomial(2, (F(1, 2), F(1, 2)), (1, F(3, 4)), (F(1), 0))
+        assert (q.den, q.a2, q.a1, q.a0) == (4, (2, 2), (4, 3), (4, 0))
+        assert q.evaluate(3) == F(1, 2) * 9 + F(3, 4) * 3 and q.coefficient(1, 4) == 1
+        with pytest.raises(ValueError, match="2 entries"):
+            EhrhartQuasiPolynomial(2, (F(1),), (F(1),), (F(1),))
+
+    def test_engine_and_json_make_no_fractions(self):
+        pentagon = Polygon([(0, 0), (F(4001, 997), F(1, 997)), (6, F(2995, 997)),
+                            (F(3, 997), 5), (F(-1000, 997), 2)])
+        semi_open = _trace_regions(3)[0]
+        assert region_denominator(pentagon) == 997
+        assert isinstance(semi_open, SemiOpenRegion) and semi_open.removed
+        watched = {ehrhart, EhrhartQuasiPolynomial.period_sequence, quasi_to_json}
+        for R in (pentagon, semi_open):
+            entered, made, doc = fractions_made(watched, lambda: quasi_to_json(ehrhart(R)))
+            assert (entered, made) == (3, 0)
+            assert doc == _reference_quasi_json(ehrhart(R))
+
+
 class TestMinimalPeriod:
     def test_constant(self):
         assert minimal_period((F(7), F(7), F(7), F(7))) == 1
@@ -284,6 +337,14 @@ class TestMinimalPeriod:
     def test_non_divisor_shifts_do_not_count(self):
         # period must divide the modulus: [1,2,1,2,1,2] has period 2, not 3
         assert minimal_period((F(1), F(2), F(1), F(2), F(1), F(2))) == 2
+
+    def test_integer_tables(self):
+        assert minimal_period((5, 5, 5, 5, 5, 5)) == 1
+        assert minimal_period((1, 2, 3, 1, 2, 3)) == 3
+        # a table that leaves its pattern in the last entry has full period
+        assert minimal_period((1, 2, 1, 2, 1, 3)) == 6
+        # the shift by 2 fixes the first 3 entries, but 2 does not divide 5
+        assert minimal_period((1, 2, 1, 2, 1)) == 5
 
 
 class TestPeriodSequence:
