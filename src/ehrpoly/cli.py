@@ -133,18 +133,15 @@ def _decomposition_document(s: int) -> dict:
     }
 
 
+# the options each suite takes; the suite's own signature holds their defaults
+_SUITE_OPTIONS = {"pip": ("max_I", "max_n"), "heptagon": ("max_s",),
+                  "glue": ("max_s", "max_t"), "mcmullen": ("trials", "seed"),
+                  "transforms": ("max_I",)}
+
+
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "pip":
-        kwargs = {"max_I": args.max_I, "max_n": args.max_n}
-    elif args.suite == "heptagon":
-        kwargs = {"max_s": args.max_s}
-    elif args.suite == "glue":
-        kwargs = {"max_s": args.max_s, "max_t": args.max_t}
-    elif args.suite == "mcmullen":
-        kwargs = {"trials": args.trials, "seed": args.seed}
-    elif args.suite == "transforms":
-        kwargs = {"max_I": args.max_I}
+    kwargs = {name: getattr(args, name) for name in _SUITE_OPTIONS[args.suite]
+              if getattr(args, name) is not None}
     report = verify.SUITES[args.suite](**kwargs)
     _write_out(jsonio.dumps(report), args.output)
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -219,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=sorted(verify.SUITES))
-    p.add_argument("--max-I", dest="max_I", type=int, default=5)
-    p.add_argument("--max-n", dest="max_n", type=int, default=12)
-    p.add_argument("--max-s", dest="max_s", type=int, default=5)
-    p.add_argument("--max-t", dest="max_t", type=int, default=5)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2024)
+    # no defaults here: an option left out leaves the suite's own default
+    p.add_argument("--max-I", dest="max_I", type=int)
+    p.add_argument("--max-n", dest="max_n", type=int)
+    p.add_argument("--max-s", dest="max_s", type=int)
+    p.add_argument("--max-t", dest="max_t", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 

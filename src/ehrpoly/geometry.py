@@ -8,12 +8,10 @@ denominator Q, and builds their `Fraction`s only when `vertices` is read.
 Its validity checks, convex hulls and unions, dilates, translates, areas,
 containment, lattice and boundary counts, and the lattice points of
 segments, boundaries and dilates run on integers; one lattice-line formula
-(`_lattice_line`) serves every segment, one edge test (`_edge_sides`)
-every question of which side of an edge a point lies on, and one set of
-edge half-planes (`_half_planes`) the row bounds of `lattice_points` and
-the naive counter.  Hulls, unions, dilates and translates build their
-polygons from integers through one unchecked constructor
-(`Polygon._from_scaled`).
+(`_lattice_line`) serves every segment, and one edge test (`_edge_sides`)
+every question of which side of an edge a point lies on.  Hulls, unions,
+dilates and translates build their polygons from integers through one
+unchecked constructor (`Polygon._from_scaled`).
 
 Three independent lattice counters are provided:
 
@@ -22,12 +20,13 @@ Three independent lattice counters are provided:
 * ``lattice_count_naive`` -- full bounding-box scan, O(area * edges)
 
 They must always agree; the slower ones exist as oracles for the faster.
-The row scan keeps its own `Fraction` edge crossings (`_rows`), which
-nothing else reads.  The first count of a polygon builds its counting
-plan (each edge of the integer vertices as a floor-sum term), which every
-later count of any dilate evaluates with a few floor divisions.  The
-lattice line of each edge is kept the same way (`_edge_lines`), for the
-boundary counts of every dilate and for the Ehrhart engine.
+The row scan keeps its own `Fraction` edge crossings (`_rows`) and the
+naive counter its own edge half-planes.  The first count or enumeration of
+a polygon builds its counting plan (`_counting_plan`: how each edge bounds
+the rows of any dilate, as integer floor-sum terms), which `lattice_count`
+sums and `lattice_points` enumerates.  The lattice line of each edge is
+kept the same way (`_edge_lines`), for the boundary counts of every dilate
+and for the Ehrhart engine.
 """
 from __future__ import annotations
 
@@ -134,7 +133,8 @@ class Polygon:
     def _set(self, Q: int, V: Sequence[tuple[int, int]], vertices) -> None:
         # the vertices are _V / Q, with _V integer pairs; their Fractions are
         # built by the first read of `vertices`, the counting plan by the
-        # first lattice_count and the edge lines by the first `_edge_lines`
+        # first lattice count or enumeration and the edge lines by the
+        # first `_edge_lines`
         self._Q, self._V, self._vertices = Q, tuple(V), vertices
         self._plan = self._lines = None
 
@@ -175,17 +175,20 @@ class Polygon:
         m, dx, dy = Q // self._Q, int(d[0] * Q), int(d[1] * Q)
         return Polygon._from_scaled(Q, [(m * x + dx, m * y + dy) for x, y in self._V])
 
+    def _least_side(self, p) -> int:
+        """min `_edge_sides` of p, coerced by `point`: 0 on the boundary."""
+        d, (q,) = _scale([point(p[0], p[1])])
+        return min(_edge_sides(self, d, q))
+
     def contains(self, p: Point) -> bool:
         """Closed containment (boundary counts)."""
-        d, (q,) = _scale([p])
-        return min(_edge_sides(self, d, q)) >= 0
+        return self._least_side(p) >= 0
 
     def contains_strict(self, p: Point) -> bool:
-        d, (q,) = _scale([p])
-        return min(_edge_sides(self, d, q)) > 0
+        return self._least_side(p) > 0
 
     def on_boundary(self, p: Point) -> bool:
-        return any(point_on_segment(p, a, b) for a, b in self.edges())
+        return self._least_side(p) == 0
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [v[0] for v in self.vertices]
@@ -434,50 +437,35 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return ans
 
 
-def _chains(V: list[tuple[int, int]]):
-    """Split the CCW integer vertex cycle into right (rising) and left
-    (falling) monotone chains, as lists of directed edges."""
-    m = len(V)
-    br = min(range(m), key=lambda i: (V[i][1], -V[i][0]))  # bottom, rightmost
-    tl = min(range(m), key=lambda i: (-V[i][1], V[i][0]))  # top, leftmost
-    right = []
-    k = br
-    while V[(k + 1) % m][1] > V[k][1]:
-        right.append((V[k], V[(k + 1) % m]))
-        k = (k + 1) % m
-    left = []
-    k = tl
-    while V[(k + 1) % m][1] < V[k][1]:
-        left.append((V[k], V[(k + 1) % m]))
-        k = (k + 1) % m
-    return right, left
-
-
 def _counting_plan(P: Polygon):
-    """(Q, ymin, ymax, right, left) for `lattice_count`, all integers.
+    """(Q, ymin, ymax, right, left): how the edges of P bound the rows of
+    any dilate nP, all integers.
 
     The vertices of nP are (n*X/Q, n*Y/Q) for the integer vertices (X, Y)
-    of QP; ymin and ymax are the extreme Y.  Along a chain edge, row y of
-    nP has boundary abscissa x(y) = (A*y + n*B) / M, so each edge is the
-    term (A, B, M, Y_end), with Y_end the edge's last Y.  Left-chain terms
-    are negated, since -ceil(x) = floor(-x).
+    of QP; ymin and ymax are the extreme Y.  Along the edge from (X1, Y1)
+    to (X2, Y2), row y of nP has boundary abscissa x(y) = (A*y + n*B) / M,
+    with A = Q*(X2 - X1), B = X1*Y2 - X2*Y1 and M = Q*(Y2 - Y1).  A rising
+    edge bounds its rows on the right, as the term (A, B, M, Y2); a falling
+    one on the left, as (A, B, -M, Y2), since -ceil(x) = floor(-x).  Right
+    terms run bottom up and left ones top down, as `lattice_count` walks.
     """
     Q, V = P._Q, P._V
-    right, left = _chains(V)
-
-    def terms(chain, negate: bool) -> tuple:
-        out = []
-        for (ax, ay), (bx, by) in chain:
-            A, B, M = Q * (bx - ax), ax * by - bx * ay, Q * (by - ay)
-            if M < 0:
-                A, B, M = -A, -B, -M
-            if negate:
-                A, B = -A, -B
-            out.append((A, B, M, by))
-        return tuple(out)
-
+    right, left = [], []
+    for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+        M = Q * (by - ay)
+        if M:
+            (right if M > 0 else left).append((Q * (bx - ax), ax * by - bx * ay, abs(M), by))
+    right.sort(key=lambda t: t[3])
+    left.sort(key=lambda t: -t[3])
     ys = [y for _, y in V]
-    return Q, min(ys), max(ys), terms(right, False), terms(left, True)
+    return Q, min(ys), max(ys), tuple(right), tuple(left)
+
+
+def _cached_plan(P: Polygon):
+    """P's counting plan, built by its first count or enumeration."""
+    if P._plan is None:
+        P._plan = _counting_plan(P)
+    return P._plan
 
 
 def lattice_count(P: Polygon, n: int) -> int:
@@ -489,10 +477,7 @@ def lattice_count(P: Polygon, n: int) -> int:
     edge terms come from P's counting plan, built once per polygon.
     """
     _check_dilation(n)
-    plan = P._plan
-    if plan is None:
-        plan = P._plan = _counting_plan(P)
-    Q, ymin, ymax, right, left = plan
+    Q, ymin, ymax, right, left = _cached_plan(P)
     ylo = -(-n * ymin // Q)   # ceil
     yhi = n * ymax // Q       # floor
     if ylo > yhi:
@@ -552,7 +537,10 @@ def lattice_count_naive(P: Polygon, n: int) -> int:
     """|nP ∩ Z^2| by testing every bounding-box point against every edge."""
     _check_dilation(n)
     Q, V = P._Q, P._V
-    coeffs = _half_planes(P, n)
+    # (x, y) lies in nP iff, for each edge a -> b of QP, the cross product
+    # (bx-ax)*(Q*y - n*ay) - (by-ay)*(Q*x - n*ax) is not negative
+    coeffs = [(-(by - ay) * Q, (bx - ax) * Q, n * ((by - ay) * ax - (bx - ax) * ay))
+              for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
     xs = [x for x, _ in V]
     ys = [y for _, y in V]
     xlo, xhi = -((-n * min(xs)) // Q), (n * max(xs)) // Q
@@ -561,43 +549,30 @@ def lattice_count_naive(P: Polygon, n: int) -> int:
     for y in range(ylo, yhi + 1):
         partial = [(cx, cy * y + c0) for cx, cy, c0 in coeffs]
         for x in range(xlo, xhi + 1):
-            ok = True
             for cx, t in partial:
                 if cx * x + t < 0:
-                    ok = False
                     break
-            if ok:
+            else:
                 count += 1
     return count
-
-
-def _half_planes(P: Polygon, n: int) -> list[tuple[int, int, int]]:
-    """(cx, cy, c0) for each edge a -> b of P._V: (x, y) lies in nP iff
-    cx*x + cy*y + c0 >= 0 for every edge, the cross product
-    (bx-ax)*(Q*y - n*ay) - (by-ay)*(Q*x - n*ax) >= 0."""
-    Q, V = P._Q, P._V
-    return [(-(by - ay) * Q, (bx - ax) * Q, n * ((by - ay) * ax - (bx - ax) * ay))
-            for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
 
 
 def lattice_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
     """Enumerate nP ∩ Z^2 row by row, bottom to top and left to right.
 
-    Row y runs from the largest ceiling bound that a falling edge's
-    half-plane puts on x to the smallest floor bound of a rising edge's
-    (`_half_planes`); a horizontal edge bounds only the range of rows.
+    Row y runs from the largest ceiling of a left-bound term of P's counting
+    plan to the smallest floor of a right-bound one, the bounds that
+    `lattice_count` sums; a horizontal edge bounds only the range of rows.
     All integer, O(rows * edges) plus the points.
     """
     _check_dilation(n)
-    planes = _half_planes(P, n)
-    # rising: x <= (cy*y + c0) / -cx; falling: x >= -(cy*y + c0) / cx
-    rising = [(cy, c0, -cx) for cx, cy, c0 in planes if cx < 0]
-    falling = [(cy, c0, cx) for cx, cy, c0 in planes if cx > 0]
-    Q, ys = P._Q, [y for _, y in P._V]
+    Q, ymin, ymax, right, left = _cached_plan(P)
+    right = [(A, n * B, M) for A, B, M, _ in right]
+    left = [(A, n * B, M) for A, B, M, _ in left]
     pts: list[tuple[int, int]] = []
-    for y in range(-(-n * min(ys) // Q), n * max(ys) // Q + 1):
-        first = -min([(cy * y + c0) // cx for cy, c0, cx in falling])
-        last = min([(cy * y + c0) // d for cy, c0, d in rising])
+    for y in range(-(-n * ymin // Q), n * ymax // Q + 1):
+        first = -min([(A * y + nB) // M for A, nB, M in left])
+        last = min([(A * y + nB) // M for A, nB, M in right])
         pts.extend(zip(range(first, last + 1), repeat(y)))
     return pts
 

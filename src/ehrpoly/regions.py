@@ -88,7 +88,8 @@ class HalfOpenSegment:
         return HalfOpenSegment._from_scaled(self._Q, (n * ax, n * ay), (n * bx, n * by))
 
     def contains(self, p: Point) -> bool:
-        """Exact membership of p in (open_end, closed_end]."""
+        """Exact membership of p, coerced by `point`, in (open_end, closed_end]."""
+        p = point(p[0], p[1])
         return point_on_segment(p, self.open_end, self.closed_end) and p != self.open_end
 
 

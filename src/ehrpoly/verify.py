@@ -89,7 +89,7 @@ def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
     return s.report()
 
 
-def verify_heptagon(max_s: int = 6) -> dict:
+def verify_heptagon(max_s: int = 5) -> dict:
     _require_at_least("max_s", max_s, 2)
     s = _Suite("heptagon")
     for sv in range(2, max_s + 1):
@@ -122,7 +122,7 @@ def verify_glue(max_s: int = 5, max_t: int = 5) -> dict:
     return s.report()
 
 
-def verify_mcmullen(trials: int = 200, seed: int = 2024) -> dict:
+def verify_mcmullen(trials: int = 100, seed: int = 2024) -> dict:
     """Coefficient periods divide the face indices on a random corpus of
     polygons with denominators up to 6 and coordinates within 5.
 
@@ -154,7 +154,7 @@ def verify_mcmullen(trials: int = 200, seed: int = 2024) -> dict:
     return s.report()
 
 
-def verify_transforms(max_I: int = 4) -> dict:
+def verify_transforms(max_I: int = 5) -> dict:
     """Skew transform algebra and lattice preservation along the chains."""
     _require_at_least("max_I", max_I, 1)
     s = _Suite("transforms")

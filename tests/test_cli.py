@@ -76,6 +76,13 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("suite", ["pip", "heptagon", "glue", "mcmullen", "transforms"])
+def test_verify_defaults_are_the_suite_defaults(capsys, suite):
+    import ehrpoly.verify as v
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0 and out == dumps(v.SUITES[suite]())
+
+
 def test_construct_and_analyze_round_trip(tmp_path, capsys):
     poly_file = tmp_path / "glued.json"
     code, _, _ = run(capsys, "construct", "glued", "--s", "2", "--t", "3",

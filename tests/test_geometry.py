@@ -329,6 +329,17 @@ class TestLatticePoints:
         assert entered == 3 and made == 0
         assert pts == [_row_scan_points(P, n) for n in (1, 2, 3)]
 
+    def test_shares_one_plan_with_lattice_count(self, monkeypatch):
+        import ehrpoly.geometry as geo
+        real, builds = geo._counting_plan, []
+        monkeypatch.setattr(geo, "_counting_plan", lambda P: builds.append(P) or real(P))
+        P = Polygon([(0, 0), (F(7, 2), F(1, 3)), (2, 5)])
+        pts = lattice_points(P, 3)
+        assert builds == [P]
+        assert lattice_count(P, 3) == len(pts) == lattice_count_rowscan(P, 3)
+        assert lattice_count(P, 2) == lattice_count_rowscan(P, 2)
+        assert builds == [P]
+
     @settings(max_examples=60, deadline=None)
     @given(rational_polygons(), st.integers(min_value=1, max_value=4))
     def test_boundary_points_are_the_lattice_points_on_the_boundary(self, P, n):
@@ -347,6 +358,26 @@ class TestContainment:
             assert P.contains(p) == (min(sides) >= 0)
             assert P.contains_strict(p) == (min(sides) > 0)
         assert all(P.contains(p) and not P.contains_strict(p) for p in list(P.vertices) + mids)
+
+    @pytest.mark.parametrize("p", [
+        (1, 2), (3, 0), (1, 1), (4, 0),
+        (F(3, 2), F(3, 2)), (F(1, 3), F(8, 3)), (F(-1, 2), 1),
+        (1.5, 1.5), (0.5, 0.5), (0.99, 2.01), (0.1, 2.9), (3.0, 0.0),
+        ("3/2", "3/2"), ("0.99", "2.01"), ("1", "2"), ("-1/2", "1"),
+    ])
+    def test_coerces_points_like_the_constructor(self, p):
+        T = Polygon([(0, 0), (3, 0), (0, 3)])
+        seg = HalfOpenSegment((0, 3), (3, 0))
+        q = point(*p)
+        for method in (T.contains, T.contains_strict, T.on_boundary, seg.contains):
+            assert method(p) == method(q)
+        assert T.on_boundary(p) == any(point_on_segment(q, a, b) for a, b in T.edges())
+
+    def test_float_points_are_taken_at_their_exact_value(self):
+        T = Polygon([(0, 0), (3, 0), (0, 3)])
+        # the binary values of 0.99 and 2.01 do not sum to 3; 1.5 is exact
+        assert not T.on_boundary((0.99, 2.01)) and T.contains_strict((0.99, 2.01))
+        assert T.on_boundary((1.5, 1.5)) and T.on_boundary(("0.99", "2.01"))
 
 
 class TestCountingPlan:

@@ -65,6 +65,18 @@ def test_constructed_families_are_never_counterexamples():
             assert scott_inequality_holds(interior_count(P, 1), boundary_count(P, 1))
 
 
+@pytest.mark.parametrize("I", [1, 2, 3, 4, 5, 6])
+def test_pips_with_b_equal_to_2I_plus_7_exist(I):
+    # the quadrilateral (0, 0), (2I+4, 0), (2I+2, 1/2), (0, 3/2) is a PIP with
+    # b = 2I + 7, so the integral bound b <= 2I + 6 has PIP violations for
+    # every I >= 2; at I = 1 it is the triangle with the (1, 9) exception
+    top = [(2 * I + 2, F(1, 2))] if I >= 2 else []
+    P = Polygon([(0, 0), (2 * I + 4, 0), *top, (0, F(3, 2))])
+    assert is_pip(P)
+    assert (interior_count(P, 1), boundary_count(P, 1)) == (I, 2 * I + 7)
+    assert scott_inequality_holds(I, 2 * I + 7) == (I == 1)
+
+
 def test_seeded_run_finds_pips_but_no_counterexamples(search1000):
     r = search1000
     assert r.trials == 1000
