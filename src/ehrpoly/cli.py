@@ -76,43 +76,51 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# the options each family takes; I, s and t are required where taken
+_FAMILY_OPTIONS = {"pip-b1": ("I", "trace"), "pip-b2": ("I",), "heptagon": ("s", "decomposition"),
+                   "triangle-q": ("t", "anchor"), "glued": ("s", "t")}
+
+
+def _options(args, command: str, table: dict, key: str, required=()) -> tuple:
+    """The options that table[key] takes.  Each option in the table is None
+    when left out; raise ValueError naming one that is given but not taken,
+    or taken and `required` but left out."""
+    takes = table[key]
+    for name in dict.fromkeys(o for opts in table.values() for o in opts):
+        given = getattr(args, name) is not None
+        if given and name not in takes:
+            raise ValueError(f"{command} {key} does not take --{name.replace('_', '-')}")
+        if not given and name in takes and name in required:
+            raise ValueError(f"{command} {key}: missing required --{name}")
+    return takes
+
+
 def cmd_construct(args) -> int:
     fam = args.family
+    _options(args, "construct", _FAMILY_OPTIONS, fam, required=("I", "s", "t"))
     if fam == "pip-b2":
-        _require(args, "I")
         doc = jsonio.polygon_to_json(cons.pip_b2(args.I))
     elif fam == "pip-b1":
-        _require(args, "I")
         trace = cons.pip_b1(args.I)
         doc = jsonio.trace_to_json(trace) if args.trace \
             else jsonio.polygon_to_json(trace.final)
     elif fam == "heptagon":
-        _require(args, "s")
         if args.decomposition:
             doc = _decomposition_document(args.s)
         else:
             doc = jsonio.polygon_to_json(cons.heptagon(args.s))
     elif fam == "triangle-q":
-        _require(args, "t")
+        anchor = "0,0" if args.anchor is None else args.anchor
         try:
-            ax, ay = (int(c) for c in args.anchor.split(","))
+            ax, ay = (int(c) for c in anchor.split(","))
         except ValueError:
             raise ValueError(f"construct triangle-q: --anchor takes x,y with integers "
-                             f"x and y, got {args.anchor!r}") from None
+                             f"x and y, got {anchor!r}") from None
         doc = jsonio.polygon_to_json(cons.triangle_q((ax, ay), args.t))
-    elif fam == "glued":
-        _require(args, "s")
-        _require(args, "t")
+    else:  # glued
         doc = jsonio.polygon_to_json(cons.glued(args.s, args.t))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(fam)
     _write_out(jsonio.dumps(doc), args.output)
     return EXIT_OK
-
-
-def _require(args, name: str) -> None:
-    if getattr(args, name, None) is None:
-        raise ValueError(f"construct {args.family}: missing required --{name}")
 
 
 def _decomposition_document(s: int) -> dict:
@@ -140,7 +148,8 @@ _SUITE_OPTIONS = {"pip": ("max_I", "max_n"), "heptagon": ("max_s",),
 
 
 def cmd_verify(args) -> int:
-    kwargs = {name: getattr(args, name) for name in _SUITE_OPTIONS[args.suite]
+    kwargs = {name: getattr(args, name)
+              for name in _options(args, "verify", _SUITE_OPTIONS, args.suite)
               if getattr(args, name) is not None}
     report = verify.SUITES[args.suite](**kwargs)
     _write_out(jsonio.dumps(report), args.output)
@@ -201,15 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
-    p.add_argument("family",
-                   choices=["pip-b1", "pip-b2", "heptagon", "triangle-q", "glued"])
+    p.add_argument("family", choices=list(_FAMILY_OPTIONS))
+    # no defaults here: an option left out is None, which `_options` reads
     p.add_argument("--I", type=int, help="number of interior lattice points")
     p.add_argument("--s", type=int, help="linear-coefficient period (>= 2)")
     p.add_argument("--t", type=int, help="constant-coefficient period")
-    p.add_argument("--anchor", default="0,0", help="lattice anchor for triangle-q")
-    p.add_argument("--trace", action="store_true",
+    p.add_argument("--anchor", help="lattice anchor for triangle-q (default 0,0)")
+    p.add_argument("--trace", action="store_true", default=None,
                    help="emit the full construction trace (pip-b1)")
-    p.add_argument("--decomposition", action="store_true",
+    p.add_argument("--decomposition", action="store_true", default=None,
                    help="emit the subdivision panels (heptagon)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_construct)

@@ -1,12 +1,12 @@
 """Ehrhart quasi-polynomials of rational polygons, from their edges.
 
-For a rational polygon (or semi-open region) with coordinate denominator
-lcm D, the counting function L(n) = |nP ∩ Z^2| is a degree-2
-quasi-polynomial whose coefficient functions have period dividing D.  Two
-of its coefficients need no counting.  c2 is the area, with period 1
-(McMullen).  c1 is one sawtooth per edge, set by how far the edge's line
-lies from the next lattice line parallel to it.  The constant term
-c0(r) = L(r) - c2 r^2 - c1(r) r then takes one count per residue r = 1..D.
+For a rational polygon, or a region that `regions._pieces` splits into
+polygons, removed segments and seams, with denominator lcm D, the count
+L(n) = |nP ∩ Z^2| is a degree-2 quasi-polynomial whose coefficients have
+period dividing D.  Two of them need no counting.  c2 is the area, with
+period 1 (McMullen).  c1 is one sawtooth per edge, set by how far the
+edge's line lies from the next lattice line parallel to it.  The constant
+term c0(r) = L(r) - c2 r^2 - c1(r) r takes one count per residue r = 1..D.
 
 Every table entry is checked.  Ehrhart-Macdonald reciprocity gives q(-r)
 as L(r) minus a boundary defect that is counted edge by edge, so the count
@@ -38,7 +38,7 @@ from .geometry import (
     _segment_count,
     lattice_count,
 )
-from .regions import HalfOpenSegment, RegionUnion, SemiOpenRegion, region_count
+from .regions import _pieces, region_count, region_denominator
 
 
 class VerificationFailure(ArithmeticError):
@@ -139,34 +139,13 @@ def _divide(a: list[int], g: int) -> None:
         a[i] = q
 
 
-def region_denominator(R) -> int:
-    """lcm of the coordinate denominators of all vertices, removed endpoints
-    and seam ends."""
-    return _denominator(*_pieces(R))
-
-
-def _pieces(R) -> tuple[list[Polygon], list[HalfOpenSegment]]:
-    """(polygons, segments): L_R is the sum of the counts of the closed
-    polygons minus one count per segment, each a removed half-open segment
-    of a SemiOpenRegion or the closed seam of a RegionUnion."""
-    if isinstance(R, Polygon):
-        return [R], []
-    if isinstance(R, SemiOpenRegion):
-        return [R.closed], list(R.removed)
-    if isinstance(R, RegionUnion):
-        polys, segs = [], [R._seam]
-        for piece in R.pieces:
-            p, s = _pieces(piece)
-            polys += p
-            segs += s
-        return polys, segs
-    raise TypeError(f"no Ehrhart quasi-polynomial for {type(R).__name__}")
-
-
-def _denominator(polys, segs) -> int:
-    """lcm of the denominators Q that `_pieces` holds for each polygon and
-    segment."""
-    return math.lcm(*(P._Q for P in polys), *(s._Q for s in segs))
+def _engine_pieces(R) -> tuple[int, tuple[Polygon, ...], tuple]:
+    """(D, polygons, segments) of R.  Seams join the removed segments: a
+    closed seam has the c1 sawtooth and the reciprocity defect
+    |n(a,b]| + |n[a,b)| of a half-open one, and its extra end point changes
+    only c0, which comes from the counts."""
+    polys, removed, seams = _pieces(R)
+    return math.lcm(*(x._Q for x in polys + removed + seams)), polys, removed + seams
 
 
 def _linear_numerators(D: int, polys, segs) -> list[int]:
@@ -220,8 +199,7 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     D - n; n = D is checked by c0(0) = 1 and, for even D, n = D/2 by one
     more count at 3D/2.  Any mismatch raises VerificationFailure.
     """
-    polys, segs = _pieces(R)
-    D = _denominator(polys, segs)
+    D, polys, segs = _engine_pieces(R)
     den = 2 * D * D
     a2 = _area_numerator(D, polys)
     a1 = _linear_numerators(D, polys, segs)
@@ -279,8 +257,7 @@ def is_pip(R) -> bool:
     must equal c2 n^2 + c1 n + 1, and the test stops at the first that
     does not.
     """
-    polys, segs = _pieces(R)
-    D = _denominator(polys, segs)
+    D, polys, segs = _engine_pieces(R)
     a1 = _linear_numerators(D, polys, segs)
     if a1.count(a1[0]) != D:
         return False

@@ -1,12 +1,12 @@
 """Semi-open polygonal regions: a closed polygon minus half-open boundary
-segments.
+segments, and two such regions glued along a closed seam.
 
 These make the signed-sum Ehrhart arguments exact: removing a half-open
 segment (open, closed] from a closed polygon subtracts its lattice points
-without double bookkeeping at the shared endpoint.  A segment stores its
-ends as integers over their common denominator, as a polygon does; the
-tests whether a removed segment lies on an edge (`geometry._edge_sides`)
-and whether two segments overlap run on those integers.
+without double bookkeeping at the shared endpoint.  `_pieces` alone says
+what a region holds; `region_count`, `region_denominator` and the Ehrhart
+engine read it.  A segment stores its ends as integers over their common
+denominator, as a polygon does, and the edge and overlap tests run on them.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .geometry import (
     _segment_count,
     _unscale,
     lattice_count,
-    lattice_points,
     point,
     point_on_segment,
 )
@@ -171,38 +170,58 @@ def region(closed, removed=()) -> SemiOpenRegion:
     return SemiOpenRegion(P, segs)
 
 
-def region_count(R, n: int) -> int:
-    """Lattice points of the dilated region; accepts Polygon, SemiOpenRegion
-    or RegionUnion."""
-    if isinstance(R, Polygon):
-        return lattice_count(R, n)
+def _pieces(R) -> tuple[tuple, tuple, tuple]:
+    """(polygons, removed, seams), tuples R holds: R counts as its closed
+    polygons less its half-open removed segments and its closed seams."""
     if isinstance(R, SemiOpenRegion):
-        c = lattice_count(R.closed, n)
-        for seg in R.removed:
-            c -= segment_count(seg, n)
-        return c
+        return (R.closed,), R.removed, ()
+    if isinstance(R, Polygon):
+        return (R,), (), ()
     if isinstance(R, RegionUnion):
-        return R.count(n)
+        A, B = R.pieces
+        return (A.closed, B.closed), A.removed + B.removed, (R._seam,)
     if isinstance(R, HalfOpenSegment):
         raise InvalidRegion("1-dimensional region: use segment_count")
     raise InvalidRegion(f"cannot count {type(R).__name__}")
 
 
+def region_count(R, n: int) -> int:
+    """Lattice points of n * R, for a Polygon, SemiOpenRegion or RegionUnion."""
+    if isinstance(R, Polygon):
+        return lattice_count(R, n)
+    polys, removed, seams = _pieces(R)
+    c = 0
+    for P in polys:
+        c += lattice_count(P, n)
+    for seg in removed:
+        c -= segment_count(seg, n)
+    for seg in seams:
+        c -= _segment_count(seg._lines[0], seg._Q, n, closed=True)
+    return c
+
+
+def region_denominator(R) -> int:
+    """lcm of the denominators of all vertices, removed ends and seam ends."""
+    return math.lcm(*(x._Q for part in _pieces(R) for x in part))
+
+
 def region_count_naive(R: SemiOpenRegion, n: int) -> int:
-    """Oracle: enumerate closed lattice points, drop the removed ones."""
-    pts = lattice_points(R.closed, n)
+    """Oracle: test each lattice point of the bounding box of n * R.closed
+    with `_edge_sides` and `HalfOpenSegment.contains`, not the counting plan."""
     dil = [s.dilate(n) for s in R.removed]
-    return sum(
-        1 for p in pts
-        if not any(s.contains(point(*p)) for s in dil))
+    x0, y0, x1, y1 = R.closed.dilate(n).bounding_box()
+    return sum(1 for x in range(math.ceil(x0), math.floor(x1) + 1)
+               for y in range(math.ceil(y0), math.floor(y1) + 1)
+               if min(_edge_sides(R.closed, n, (x, y))) >= 0
+               and not any(s.contains((x, y)) for s in dil))
 
 
 class RegionUnion:
     """Two semi-open pieces glued along a shared closed seam segment.
 
     Produced by piecewise maps when the image fails to be convex; counting is
-    inclusion-exclusion over the seam.  The seam must avoid every removed
-    segment (checked), which is all the piecewise machinery ever needs.
+    inclusion-exclusion over the seam.  The seam must lie on the boundary
+    of both pieces and avoid every removed segment (both checked).
     It is kept as a HalfOpenSegment, for its integer ends and lattice
     lines, and counted closed.
     """
@@ -211,10 +230,13 @@ class RegionUnion:
 
     def __init__(self, pieces, seam: HalfOpenSegment):
         self.pieces = tuple(pieces)
-        if len(self.pieces) != 2:
-            raise InvalidRegion("RegionUnion supports exactly two pieces and one seam")
+        if (len(self.pieces) != 2 or not isinstance(seam, HalfOpenSegment)
+                or not all(isinstance(p, SemiOpenRegion) for p in self.pieces)):
+            raise InvalidRegion("RegionUnion glues two SemiOpenRegions along a HalfOpenSegment")
         self._seam = seam
         for piece in self.pieces:
+            if not _collinear_with_edge(seam, piece.closed):
+                raise InvalidRegion(f"the seam {seam} is not on the boundary of {piece.closed}")
             for rem in piece.removed:
                 if _segments_overlap(rem, seam):
                     raise InvalidRegion("removed segment overlaps the union seam")
@@ -224,8 +246,7 @@ class RegionUnion:
         return ((self._seam.open_end, self._seam.closed_end),)
 
     def count(self, n: int) -> int:
-        shared = _segment_count(self._seam._lines[0], self._seam._Q, n, closed=True)
-        return sum(region_count(p, n) for p in self.pieces) - shared
+        return region_count(self, n)
 
     def __repr__(self) -> str:
         return f"RegionUnion({list(self.pieces)})"

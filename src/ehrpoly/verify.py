@@ -2,8 +2,9 @@
 
 Each suite returns a report dict: {"suite", "passed", "checks": [...]} with
 one entry per named check; the first failure carries a serialized
-counterexample.  The CLI `verify` subcommand and the acceptance tests both
-drive these, so there is a single source of truth for what gets checked.
+counterexample.  The CLI `verify` subcommand drives these, and
+`tests/test_cli.py` runs each through it; the acceptance suite checks the
+same claims on its own.
 """
 from __future__ import annotations
 

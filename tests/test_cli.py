@@ -131,6 +131,28 @@ def test_construct_out_of_range_exits_2(capsys):
     assert "s must be" in err
 
 
+# each family and suite with the options it takes, and a value for every option
+TAKES = {("construct", "pip-b1"): ("--I", "--trace"), ("construct", "pip-b2"): ("--I",),
+         ("construct", "heptagon"): ("--s", "--decomposition"),
+         ("construct", "triangle-q"): ("--t", "--anchor"), ("construct", "glued"): ("--s", "--t"),
+         ("verify", "pip"): ("--max-I", "--max-n"), ("verify", "heptagon"): ("--max-s",),
+         ("verify", "glue"): ("--max-s", "--max-t"), ("verify", "mcmullen"): ("--trials", "--seed"),
+         ("verify", "transforms"): ("--max-I",)}
+VALUES = {"construct": {"--I": ["2"], "--s": ["3"], "--t": ["3"], "--anchor": ["1,5"],
+                        "--trace": [], "--decomposition": []},
+          "verify": {"--max-I": ["1"], "--max-n": ["3"], "--max-s": ["2"], "--max-t": ["2"],
+                     "--trials": ["2"], "--seed": ["1"]}}
+
+
+@pytest.mark.parametrize("command, target, option", [
+    (c, t, o) for (c, t), takes in TAKES.items() for o in VALUES[c] if o not in takes])
+def test_an_option_the_target_does_not_take_exits_2_naming_it(capsys, command, target, option):
+    taken = [arg for o in TAKES[command, target] for arg in [o, *VALUES[command][o]]]
+    code, out, err = run(capsys, command, target, *taken, option, *VALUES[command][option])
+    assert code == 2 and out == ""
+    assert err == f"error: {command} {target} does not take {option}\n"
+
+
 def test_construct_unknown_family_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "dodecahedron"])

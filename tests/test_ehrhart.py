@@ -26,6 +26,7 @@ from ehrpoly import (
     pip_b2,
     pip_b2_half,
     primitive,
+    region_count,
     series_coefficients,
     skew_minus,
     skew_plus,
@@ -88,6 +89,14 @@ class TestInterpolation:
     def test_region_denominator_includes_removals(self):
         R = SemiOpenRegion(SQUARE, [HalfOpenSegment((F(1, 3), 0), (1, 0))])
         assert region_denominator(R) == 3
+
+    @pytest.mark.parametrize("entry", [region_count, region_denominator, ehrhart, is_pip,
+                                       ehrhart_interpolated, period_sequence])
+    @pytest.mark.parametrize("bad", [HalfOpenSegment((0, 0), (1, 0)), SQUARE.vertices, None])
+    def test_one_error_for_what_is_not_a_region(self, entry, bad):
+        args = (bad, 1) if entry is region_count else (bad,)
+        with pytest.raises(InvalidRegion):
+            entry(*args)
 
     def test_inconsistent_counts_raise(self, monkeypatch):
         import sys
@@ -175,7 +184,7 @@ class TestEngine:
         for R in regions:
             D = region_denominator(R)
             fitted = ehrhart_interpolated(R).c1
-            a1 = eh._linear_numerators(D, *eh._pieces(R))
+            a1 = eh._linear_numerators(*eh._engine_pieces(R))
             assert [F(x, 2 * D * D) for x in a1] == list(fitted)
 
     def test_a_fault_at_any_count_raises(self, monkeypatch):

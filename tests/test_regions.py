@@ -7,6 +7,7 @@ from ehrpoly import (
     HalfOpenSegment,
     InvalidRegion,
     Polygon,
+    RegionUnion,
     SemiOpenRegion,
     lattice_count,
     lattice_length,
@@ -16,6 +17,7 @@ from ehrpoly import (
     segment_count,
     segment_lattice_count,
 )
+from ehrpoly import geometry
 from ehrpoly.geometry import cross
 from ehrpoly.regions import _segments_overlap
 from ehrpoly.sampling import SplitMix64, polygon_corpus
@@ -118,6 +120,37 @@ def test_region_count_matches_naive_on_random_regions():
         R = SemiOpenRegion(P, [HalfOpenSegment(a, mid)])
         for n in range(1, 7):
             assert region_count(R, n) == region_count_naive(R, n)
+
+
+def test_naive_region_count_reads_no_counting_plan(monkeypatch):
+    def broken(P):
+        raise AssertionError("the oracle read the counting plan")
+
+    monkeypatch.setattr(geometry, "_counting_plan", broken)
+    R = region([(0, 0), (F(5, 2), 0), (1, F(7, 3))], [((0, 0), (1, 0))])
+    assert [region_count_naive(R, n) for n in (1, 2, 6)] == [4, 14, 109]
+
+
+class TestRegionUnion:
+    LEFT = region(SQUARE.vertices)
+    RIGHT = region([(1, 0), (2, 0), (2, 1), (1, 1)])
+    SEAM = HalfOpenSegment((1, 0), (1, 1))
+
+    def test_polygon_pieces_rejected(self):
+        with pytest.raises(InvalidRegion):
+            RegionUnion([self.LEFT.closed, self.RIGHT.closed], self.SEAM)
+
+    def test_seam_given_as_a_pair_of_points_rejected(self):
+        with pytest.raises(InvalidRegion):
+            RegionUnion([self.LEFT, self.RIGHT], ((1, 0), (1, 1)))
+
+    def test_seam_off_the_boundary_of_a_piece_rejected(self):
+        # on the boundary of the left square, but not of the right one; the
+        # union would count 7, 16, 30 at n = 1..3 where the truth is 6, 15, 28
+        with pytest.raises(InvalidRegion):
+            RegionUnion([self.LEFT, self.RIGHT], HalfOpenSegment((0, F(1, 2)), (0, 1)))
+        U = RegionUnion([self.LEFT, self.RIGHT], self.SEAM)
+        assert [region_count(U, n) for n in (1, 2, 3)] == [6, 15, 28]
 
 
 ints = st.integers(-12, 12)
