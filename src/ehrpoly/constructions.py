@@ -12,7 +12,9 @@ Two kinds of construction live here:
 
 Every closed-form vertex list produced here is re-derived by actually
 running the transformation chain, and a ConstructionMismatch is raised if
-the two disagree, so the formulas cannot drift from the geometry.
+the two disagree, so the formulas cannot drift from the geometry.  The
+heptagon's named points are written once (`_heptagon_points`), and every
+count parameter (I, s, t, n_max, trials, bounds) passes `_require_int`.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .geometry import (
     GeometryError,
     Point,
     Polygon,
+    _require_int,
     area,
     boundary_count,
     convex_union,
@@ -74,6 +77,7 @@ class ConstructionTrace:
         """Every step has the same lattice count for all n up to the bound."""
         if n_max is None:
             n_max = 3 * self.max_denominator()
+        _require_int("n_max", n_max, 1)
         for n in range(1, n_max + 1):
             ref = region_count(self.steps[0].region, n)
             if any(region_count(s.region, n) != ref for s in self.steps[1:]):
@@ -91,16 +95,14 @@ def pip_b2(I: int) -> Polygon:
     The upper half conv{(0,0), (I+1,0), (1, I/(I+1))} is pseudo-integral;
     the kite is its union with the mirror image below the x-axis.
     """
-    if not isinstance(I, int) or I < 1:
-        raise ValueError(f"I must be a positive integer, got {I!r}")
+    _require_int("I", I, 1)
     h = 1 - Fraction(1, I + 1)
     return Polygon([(0, 0), (1, -h), (I + 1, 0), (1, h)])
 
 
 def pip_b2_half(I: int) -> Polygon:
     """The generating triangle of pip_b2 (everything on or above the x-axis)."""
-    if not isinstance(I, int) or I < 1:
-        raise ValueError(f"I must be a positive integer, got {I!r}")
+    _require_int("I", I, 1)
     return Polygon([(0, 0), (I + 1, 0), (1, 1 - Fraction(1, I + 1))])
 
 
@@ -133,8 +135,7 @@ def pip_b1(I: int) -> ConstructionTrace:
     Runs the full piecewise-skew chain and checks each stage against its
     closed-form vertex list; raises ConstructionMismatch on any deviation.
     """
-    if not isinstance(I, int) or I < 1:
-        raise ValueError(f"I must be a positive integer, got {I!r}")
+    _require_int("I", I, 1)
     exp_T1, exp_T2, exp_T3, exp_P = _pip_b1_expected(I)
 
     down = skew_plus((0, -1))            # shears {x >= 0} by (x, y) -> (x, y - x)
@@ -170,27 +171,25 @@ def pip_b1(I: int) -> ConstructionTrace:
 # prescribed period sequences (1, s, t)
 
 
+def _heptagon_points(s: int) -> dict[str, Point]:
+    """The heptagon's vertices t1, t2, u1, u2, v1, v2, w and the lattice
+    point v = (s, 0), by name, with M = s(s - 1) + 1 and e = 1/s."""
+    _require_int("s", s, 2)
+    M, e = s * (s - 1) + 1, Fraction(1, s)
+    return {"t1": (-e, M), "t2": (-e, -M), "u1": (0, M), "u2": (0, -M),
+            "v1": (1, M - 1), "v2": (1, 1 - M), "w": (s - 1 + e, 0), "v": (s, 0)}
+
+
 def heptagon(s: int) -> Polygon:
     """Heptagon with period sequence (1, s, 1): the linear Ehrhart
     coefficient has minimal period s while the constant term is 1."""
-    if not isinstance(s, int) or s < 2:
-        raise ValueError(f"s must be an integer >= 2, got {s!r}")
-    M = s * (s - 1) + 1
-    e = Fraction(1, s)
-    return Polygon([
-        (-e, -M),            # t2
-        (0, -M),             # u2
-        (1, -(M - 1)),       # v2
-        (s - 1 + e, 0),      # w
-        (1, M - 1),          # v1
-        (0, M),              # u1
-        (-e, M),             # t1
-    ])
+    p = _heptagon_points(s)
+    return Polygon([p[k] for k in ("t2", "u2", "v2", "w", "v1", "u1", "t1")])
 
 
 def heptagon_anchor(s: int) -> tuple[int, int]:
     """The lattice vertex u1 of heptagon(s), where the Q triangle glues on."""
-    return (0, s * (s - 1) + 1)
+    return _heptagon_points(s)["u1"]
 
 
 def heptagon_decomposition(s: int) -> dict:
@@ -204,13 +203,7 @@ def heptagon_decomposition(s: int) -> dict:
     Returns all intermediate objects plus named check booleans.
     """
     H = heptagon(s)
-    M = s * (s - 1) + 1
-    e = Fraction(1, s)
-    t1, t2 = (-e, M), (-e, -M)
-    u1, u2 = (0, M), (0, -M)
-    v1, v2 = (1, M - 1), (1, -(M - 1))
-    w = (s - 1 + e, 0)
-    v = (s, 0)
+    t1, t2, u1, u2, v1, v2, w, v = _heptagon_points(s).values()
 
     R = Polygon([t1, t2, u2, u1])
     T1 = Polygon([u1, w, v1])
@@ -231,7 +224,7 @@ def heptagon_decomposition(s: int) -> dict:
     Hp = convex_union([R, U1T1, U2T2, T3])
     checks["H_prime_convex"] = Hp == Polygon([t1, t2, u2, v, u1])
 
-    h = HalfOpenSegment((e, 0), (1, 0))
+    h = HalfOpenSegment((Fraction(1, s), 0), (1, 0))
     checks["count_identity"] = all(
         region_count(H, n) == region_count(Hp, n) + segment_count(h, n)
         for n in range(1, 3 * s + 1))
@@ -267,8 +260,7 @@ def triangle_q(anchor, t: int) -> Polygon:
     Shape conv{(0,0), (1,-1), (1/t, 0)} translated by a lattice anchor; it
     is unimodularly equivalent to conv{(0,0), (1,0), (0,1/t)}.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
+    _require_int("t", t, 1)
     ax, ay = point(*anchor)
     if ax.denominator != 1 or ay.denominator != 1:
         raise ValueError(f"anchor must be a lattice point, got {anchor!r}")
@@ -282,12 +274,10 @@ def glued(s: int, t: int) -> Polygon:
     lattice length 1; their union is convex.  All gluing conditions are
     checked, not assumed.
     """
-    if not isinstance(s, int) or s < 2 or not isinstance(t, int) or t < 2:
-        raise ValueError(f"glued needs integers s, t >= 2, got s={s!r}, t={t!r}")
-    H = heptagon(s)
-    u1 = heptagon_anchor(s)
+    p = _heptagon_points(s)
+    _require_int("t", t, 2)
+    H, u1, v1 = heptagon(s), p["u1"], p["v1"]
     Q = triangle_q(u1, t)
-    v1 = (1, s * (s - 1))
 
     edge_dir = (v1[0] - u1[0], v1[1] - u1[1])
     if lattice_length(edge_dir) != 1:
@@ -313,6 +303,7 @@ def glued_count_identity(s: int, t: int, n_max: int | None = None) -> bool:
     P = glued(s, t)
     if n_max is None:
         n_max = 3 * math.lcm(s, t)
+    _require_int("n_max", n_max, 1)
     return all(
         lattice_count(P, n) == lattice_count(H, n) + lattice_count(Q, n) - (n + 1)
         for n in range(1, n_max + 1))
@@ -377,8 +368,9 @@ def scott_pip_search(seed: int, trials: int, max_denominator: int = 4,
     strict list uses b <= 2I + 6 with the (1, 9) exception; the weak list
     uses the looser b <= 2I + 7.  Both concern I >= 1 only.
     """
-    if trials < 0 or max_denominator < 1 or coord_bound < 1:
-        raise ValueError("trials must be >= 0 and bounds positive")
+    _require_int("trials", trials, 0)
+    _require_int("max_denominator", max_denominator, 1)
+    _require_int("coord_bound", coord_bound, 1)
     report = SearchReport(seed, trials, max_denominator, coord_bound)
     for i in range(trials):
         P = random_polygon(trial_rng(seed, i), max_denominator, coord_bound)

@@ -35,6 +35,7 @@ from .geometry import (
     Polygon,
     _area_numerator,
     _edge_lines,
+    _require_int,
     _segment_count,
     lattice_count,
 )
@@ -284,6 +285,8 @@ def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:
 
 def series_coefficients(t: int, N: int) -> list[int]:
     """First N coefficients of (1 - z)^(-2) * (1 - z^t)^(-1)."""
+    _require_int("t", t, 1)
+    _require_int("N", N, 0)
     out = [0] * N
     for j in range(0, N, t):
         for k in range(j, N):
@@ -293,9 +296,9 @@ def series_coefficients(t: int, N: int) -> list[int]:
 
 def gf_series_check(P: Polygon, t: int, N: int) -> bool:
     """Compare counts of P against the generating function with a pole at
-    the t-th roots of unity; the n = 0 term is taken to be 1."""
-    if N < 3 * t:
-        raise ValueError(f"need N >= 3t for a meaningful check, got N={N}, t={t}")
+    the t-th roots of unity; the n = 0 term is taken to be 1.  N >= 3t."""
+    _require_int("t", t, 1)
+    _require_int("N", N, 3 * t)
     expected = series_coefficients(t, N)
     if expected[0] != 1:
         return False
@@ -314,8 +317,7 @@ def ehrhart_interpolated(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
     VerificationFailure is raised.  An extra_checks below 1 would leave
     the tables unchecked, so it raises ValueError.
     """
-    if not isinstance(extra_checks, int) or extra_checks < 1:
-        raise ValueError(f"extra_checks must be an integer >= 1, got {extra_checks!r}")
+    _require_int("extra_checks", extra_checks, 1)
     D = region_denominator(R)
     counts = [0] + [region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)]
     den = 2 * D * D

@@ -5,11 +5,13 @@ keeps them hashable and cheap; `Polygon` is the only real class.  No floats
 appear anywhere, so all predicates (orientation, containment, counts) are
 exact.  A polygon stores its vertices once as integers over their common
 denominator Q, and builds their `Fraction`s only when `vertices` is read.
-Its validity checks, convex hulls and unions, dilates, translates, areas,
+Its validity check, convex hulls and unions, dilates, translates, areas,
 containment, lattice and boundary counts, and the lattice points of
-segments, boundaries and dilates run on integers; one lattice-line formula
-(`_lattice_line`) serves every segment, and one edge test (`_edge_sides`)
-every question of which side of an edge a point lies on.  Hulls, unions,
+segments, boundaries and dilates run on integers.  One monotone chain
+(`_monotone_chain`) builds every hull and accepts a vertex list iff the
+list is its own hull; one lattice-line formula (`_lattice_line`) serves
+every segment; one edge test (`_edge_sides`) places points against edges;
+one check (`_require_int`) guards every count parameter.  Hulls, unions,
 dilates and translates build their polygons from integers through one
 unchecked constructor (`Polygon._from_scaled`).
 
@@ -83,10 +85,10 @@ class Polygon:
     """Strictly convex polygon, counterclockwise vertex tuple.
 
     Vertices are canonicalized to start at the lexicographically smallest
-    vertex, so two polygons are equal iff they are the same point set.
-    Construction rejects repeated vertices, collinear triples, clockwise
-    order, boundaries that wind more than once (a pentagram turns left at
-    every vertex) and anything contained in a line.
+    vertex, so two polygons are equal iff they are the same point set.  A
+    vertex list is valid iff, so started, it is its own `_monotone_chain`
+    hull: no repeated vertex, collinear triple, clockwise turn or second
+    winding (a pentagram turns left at every vertex), nor a line segment.
     """
 
     __slots__ = ("_vertices", "_Q", "_V", "_plan", "_lines")
@@ -97,22 +99,12 @@ class Polygon:
         if m < 3:
             raise DegenerateInput(f"need at least 3 vertices, got {m}")
         Q, V = _scale(verts)
-        if len(set(V)) != m:
-            raise DegenerateInput("repeated vertex")
-        for i in range(m):
-            turn = cross(V[i], V[(i + 1) % m], V[(i + 2) % m])
-            if turn == 0:
-                raise DegenerateInput("three consecutive collinear vertices")
-            if turn < 0:
-                raise DegenerateInput("vertices are not in counterclockwise order")
-        # with every turn left and below a half turn, the edge direction
-        # passes the +x axis once per winding; a convex boundary winds once
-        up = [b[1] > a[1] or (b[1] == a[1] and b[0] > a[0])
-              for a, b in zip(V, V[1:] + V[:1])]
-        if sum(up[i] and not up[i - 1] for i in range(m)) != 1:
-            raise DegenerateInput("vertices wind around more than once")
         start = min(range(m), key=V.__getitem__)
-        self._set(Q, V[start:] + V[:start], verts[start:] + verts[:start])
+        V = V[start:] + V[:start]
+        if V != _monotone_chain(sorted(V)):
+            raise DegenerateInput("vertices are not their convex hull in counterclockwise order "
+                                  "(repeated, collinear, clockwise or winding more than once)")
+        self._set(Q, V, verts[start:] + verts[:start])
 
     @classmethod
     def _from_scaled(cls, Q: int, V: Sequence[tuple[int, int]]) -> "Polygon":
@@ -166,7 +158,7 @@ class Polygon:
             yield vs[i], vs[(i + 1) % len(vs)]
 
     def dilate(self, n: int) -> "Polygon":
-        _check_dilation(n)
+        _require_int("n", n, 1)
         return Polygon._from_scaled(self._Q, [(n * x, n * y) for x, y in self._V])
 
     def translate(self, d: Vector) -> "Polygon":
@@ -217,9 +209,11 @@ def _edge_sides(P: Polygon, d: int, p: tuple[int, int]) -> list[int]:
             for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
 
 
-def _check_dilation(n) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {n!r}")
+def _require_int(name: str, value, least: int) -> None:
+    """The check of every count parameter: an int, not a bool, >= least."""
+    if type(value) is not int or value < least:
+        need = "an integer" if type(value) is not int else f"at least {least}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 def point_on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -476,7 +470,7 @@ def lattice_count(P: Polygon, n: int) -> int:
     `floor_sum`, so the cost is O(edges * log), independent of n.  The
     edge terms come from P's counting plan, built once per polygon.
     """
-    _check_dilation(n)
+    _require_int("n", n, 1)
     Q, ymin, ymax, right, left = _cached_plan(P)
     ylo = -(-n * ymin // Q)   # ceil
     yhi = n * ymax // Q       # floor
@@ -529,13 +523,13 @@ def _rows(P: Polygon, n: int) -> Iterator[tuple[int, int, int]]:
 
 def lattice_count_rowscan(P: Polygon, n: int) -> int:
     """|nP ∩ Z^2| by scanning integer rows between exact edge crossings."""
-    _check_dilation(n)
+    _require_int("n", n, 1)
     return sum(max(0, last - first + 1) for _, first, last in _rows(P, n))
 
 
 def lattice_count_naive(P: Polygon, n: int) -> int:
     """|nP ∩ Z^2| by testing every bounding-box point against every edge."""
-    _check_dilation(n)
+    _require_int("n", n, 1)
     Q, V = P._Q, P._V
     # (x, y) lies in nP iff, for each edge a -> b of QP, the cross product
     # (bx-ax)*(Q*y - n*ay) - (by-ay)*(Q*x - n*ax) is not negative
@@ -565,7 +559,7 @@ def lattice_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
     `lattice_count` sums; a horizontal edge bounds only the range of rows.
     All integer, O(rows * edges) plus the points.
     """
-    _check_dilation(n)
+    _require_int("n", n, 1)
     Q, ymin, ymax, right, left = _cached_plan(P)
     right = [(A, n * B, M) for A, B, M, _ in right]
     left = [(A, n * B, M) for A, B, M, _ in left]
@@ -583,14 +577,14 @@ def boundary_count(P: Polygon, n: int) -> int:
     Each edge is counted without its first vertex, so going around the
     cycle counts every boundary point exactly once.
     """
-    _check_dilation(n)
+    _require_int("n", n, 1)
     Q = P._Q
     return sum(_segment_count(line, Q, n, closed=False) for line in _edge_lines(P))
 
 
 def boundary_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
     """The lattice points on the boundary of nP, sorted."""
-    _check_dilation(n)
+    _require_int("n", n, 1)
     Q, V = P._Q, [(n * x, n * y) for x, y in P._V]
     pts: set[tuple[int, int]] = set()
     for a, b in zip(V, V[1:] + V[:1]):

@@ -167,9 +167,10 @@ def splitting_line_from_json(obj, path: str) -> tuple[Point, tuple[int, int]]:
     d = obj["direction"]
     if not isinstance(d, list) or len(d) != 2:
         raise ParseError(f"{path}.direction", f'expected ["dx", "dy"], got {d!r}')
-    return (vertex_from_json(obj["anchor"], f"{path}.anchor"),
-            (_parse_int(d[0], f"{path}.direction[0]"),
-             _parse_int(d[1], f"{path}.direction[1]")))
+    direction = tuple(_parse_int(x, f"{path}.direction[{i}]") for i, x in enumerate(d))
+    if direction == (0, 0):
+        raise ParseError(f"{path}.direction", "the zero vector is not a direction")
+    return vertex_from_json(obj["anchor"], f"{path}.anchor"), direction
 
 
 def search_report_to_json(r: SearchReport) -> dict:
@@ -196,3 +197,5 @@ def load_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("document", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("document", "invalid JSON: nested too deeply") from None

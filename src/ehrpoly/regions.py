@@ -4,21 +4,23 @@ segments, and two such regions glued along a closed seam.
 These make the signed-sum Ehrhart arguments exact: removing a half-open
 segment (open, closed] from a closed polygon subtracts its lattice points
 without double bookkeeping at the shared endpoint.  `_pieces` alone says
-what a region holds; `region_count`, `region_denominator` and the Ehrhart
-engine read it.  A segment stores its ends as integers over their common
-denominator, as a polygon does, and the edge and overlap tests run on them.
+what a region holds, for `region_count`, `region_denominator` and the
+Ehrhart engine; the oracle `region_count_naive` tests points instead.  A
+segment stores its ends as integers over a common denominator, as a
+polygon does, and the edge and overlap tests run on them.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .geometry import (
     Point,
     Polygon,
     GeometryError,
-    _check_dilation,
     _edge_sides,
     _lattice_line,
+    _require_int,
     _scale,
     _segment_count,
     _unscale,
@@ -82,7 +84,7 @@ class HalfOpenSegment:
         return f"HalfOpenSegment(open_end={self.open_end!r}, closed_end={self.closed_end!r})"
 
     def dilate(self, n: int) -> "HalfOpenSegment":
-        _check_dilation(n)
+        _require_int("n", n, 1)
         (ax, ay), (bx, by) = self._a, self._b
         return HalfOpenSegment._from_scaled(self._Q, (n * ax, n * ay), (n * bx, n * by))
 
@@ -94,7 +96,7 @@ class HalfOpenSegment:
 
 def segment_count(seg: HalfOpenSegment, n: int) -> int:
     """Lattice points in n * (open, closed] = (n*open, n*closed]."""
-    _check_dilation(n)
+    _require_int("n", n, 1)
     return _segment_count(seg._lines[0], seg._Q, n, closed=False)
 
 
@@ -205,25 +207,35 @@ def region_denominator(R) -> int:
     return math.lcm(*(x._Q for part in _pieces(R) for x in part))
 
 
-def region_count_naive(R: SemiOpenRegion, n: int) -> int:
-    """Oracle: test each lattice point of the bounding box of n * R.closed
-    with `_edge_sides` and `HalfOpenSegment.contains`, not the counting plan."""
-    dil = [s.dilate(n) for s in R.removed]
-    x0, y0, x1, y1 = R.closed.dilate(n).bounding_box()
-    return sum(1 for x in range(math.ceil(x0), math.floor(x1) + 1)
-               for y in range(math.ceil(y0), math.floor(y1) + 1)
-               if min(_edge_sides(R.closed, n, (x, y))) >= 0
-               and not any(s.contains((x, y)) for s in dil))
+def region_count_naive(R, n: int) -> int:
+    """Oracle for `region_count`, on neither `_pieces` nor the counting plan:
+    each lattice point of each piece's closed dilate is tested with
+    `_edge_sides` and `HalfOpenSegment.contains`.  A point on the closed
+    seam of a union counts only if both pieces hold it, any other if one does."""
+    union = isinstance(R, RegionUnion)
+    pieces = R.pieces if union else (R if isinstance(R, SemiOpenRegion) else SemiOpenRegion(R),)
+    seams = [R._seam.dilate(n)] if union else []
+    hits = Counter()
+    for piece in pieces:
+        dil = [s.dilate(n) for s in piece.removed]
+        x0, y0, x1, y1 = piece.closed.dilate(n).bounding_box()
+        hits.update((x, y) for x in range(math.ceil(x0), math.floor(x1) + 1)
+                    for y in range(math.ceil(y0), math.floor(y1) + 1)
+                    if min(_edge_sides(piece.closed, n, (x, y))) >= 0
+                    and not any(s.contains((x, y)) for s in dil))
+    return sum(1 for p, k in hits.items() if k == len(pieces) or not any(
+        point_on_segment(point(*p), s.open_end, s.closed_end) for s in seams))
 
 
 class RegionUnion:
     """Two semi-open pieces glued along a shared closed seam segment.
 
-    Produced by piecewise maps when the image fails to be convex; counting is
-    inclusion-exclusion over the seam.  The seam must lie on the boundary
-    of both pieces and avoid every removed segment (both checked).
-    It is kept as a HalfOpenSegment, for its integer ends and lattice
-    lines, and counted closed.
+    Produced by piecewise maps when the image fails to be convex.  The seam
+    lies on the boundary of both pieces and avoids every removed segment
+    (both checked); it is kept as a HalfOpenSegment and subtracted closed.
+    The pieces are not a partition as point sets: a seam point belongs to
+    the union only if both pieces hold it, so a removed segment that
+    crosses the cut takes its seam end out of the union.
     """
 
     __slots__ = ("pieces", "_seam")

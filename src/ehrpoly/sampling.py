@@ -9,7 +9,7 @@ from those integers, so no `Fraction` is made until its vertices are read.
 """
 from __future__ import annotations
 
-from .geometry import DegenerateInput, Polygon, _scaled_hull
+from .geometry import DegenerateInput, Polygon, _require_int, _scaled_hull
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -72,6 +72,9 @@ def random_polygon(rng: SplitMix64, max_denominator: int, coord_bound: int) -> P
 def polygon_corpus(seed: int, size: int, max_denominator: int = 6,
                    coord_bound: int = 5) -> list[Polygon]:
     """Deterministic corpus of `size` valid random polygons."""
+    _require_int("size", size, 0)
+    _require_int("max_denominator", max_denominator, 1)
+    _require_int("coord_bound", coord_bound, 1)
     out: list[Polygon] = []
     trial = 0
     while len(out) < size:

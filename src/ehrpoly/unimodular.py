@@ -39,6 +39,7 @@ from .geometry import (
     Polygon,
     Vector,
     _edge_sides,
+    _require_int,
     _scale,
     _scaled_hull,
     _union_hull,
@@ -391,8 +392,7 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
 def iterate(m: PiecewiseUnimodularMap, k: int, R):
     """k-fold composition of apply_piecewise; every intermediate image must
     stay convex (it does in all the construction chains here)."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"iteration count must be a positive integer, got {k!r}")
+    _require_int("k", k, 1)
     cur = R
     for _ in range(k):
         cur = apply_piecewise(m, cur)

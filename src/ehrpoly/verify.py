@@ -2,9 +2,10 @@
 
 Each suite returns a report dict: {"suite", "passed", "checks": [...]} with
 one entry per named check; the first failure carries a serialized
-counterexample.  The CLI `verify` subcommand drives these, and
-`tests/test_cli.py` runs each through it; the acceptance suite checks the
-same claims on its own.
+counterexample.  A bound below the first value its suite iterates over
+would leave checks that pass vacuously, so it raises ValueError.  The CLI
+`verify` subcommand drives these, and `tests/test_cli.py` runs each
+through it; the acceptance suite checks the same claims on its own.
 """
 from __future__ import annotations
 
@@ -37,17 +38,10 @@ class _Suite:
         }
 
 
-def _require_at_least(name: str, value: int, least: int) -> None:
-    """Refuse a bound below the first value the suite iterates over, which
-    would leave checks that pass vacuously."""
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
 def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
     """The b in {1, 2} pseudo-integral families and their count laws."""
-    _require_at_least("max_I", max_I, 1)
-    _require_at_least("max_n", max_n, 1)
+    geo._require_int("max_I", max_I, 1)
+    geo._require_int("max_n", max_n, 1)
     s = _Suite("pip")
     members = []  # (I, polygon) of both families, for the pick/scaling checks
     for I in range(1, max_I + 1):
@@ -91,7 +85,7 @@ def verify_pip(max_I: int = 5, max_n: int = 12) -> dict:
 
 
 def verify_heptagon(max_s: int = 5) -> dict:
-    _require_at_least("max_s", max_s, 2)
+    geo._require_int("max_s", max_s, 2)
     s = _Suite("heptagon")
     for sv in range(2, max_s + 1):
         dec = cons.heptagon_decomposition(sv)
@@ -104,8 +98,8 @@ def verify_heptagon(max_s: int = 5) -> dict:
 
 
 def verify_glue(max_s: int = 5, max_t: int = 5) -> dict:
-    _require_at_least("max_s", max_s, 2)
-    _require_at_least("max_t", max_t, 2)
+    geo._require_int("max_s", max_s, 2)
+    geo._require_int("max_t", max_t, 2)
     s = _Suite("glue")
     for sv in range(2, max_s + 1):
         for tv in range(2, max_t + 1):
@@ -130,7 +124,7 @@ def verify_mcmullen(trials: int = 100, seed: int = 2024) -> dict:
     The engine takes the leading coefficient to be the area, so the area
     check compares its tables with the interpolating fit, which only counts.
     """
-    _require_at_least("trials", trials, 1)
+    geo._require_int("trials", trials, 1)
     s = _Suite("mcmullen")
     corpus = polygon_corpus(seed, trials, max_denominator=6, coord_bound=5)
     bad_div = []
@@ -157,7 +151,7 @@ def verify_mcmullen(trials: int = 100, seed: int = 2024) -> dict:
 
 def verify_transforms(max_I: int = 5) -> dict:
     """Skew transform algebra and lattice preservation along the chains."""
-    _require_at_least("max_I", max_I, 1)
+    geo._require_int("max_I", max_I, 1)
     s = _Suite("transforms")
     dirs = [(1, 0), (0, -1), (2, 3), (-3, 5), (Fraction(3, 2), Fraction(3, 4)),
             (-1, -1), (7, -2)]

@@ -120,6 +120,15 @@ def test_analyze_malformed_json_exits_2(tmp_path, capsys):
     assert "vertices" in err
 
 
+def test_analyze_deeply_nested_json_exits_2(tmp_path, capsys):
+    # the decoder raises RecursionError here, not JSONDecodeError
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: document: invalid JSON: nested too deeply\n"
+
+
 def test_analyze_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/p.json")
     assert code == 2 and err
@@ -309,6 +318,9 @@ def test_render_escapes_label_text(tmp_path, capsys):
     ({"vertices": SQUARE_JSON["vertices"],
       "removed": [{"open": SQUARE_JSON["vertices"][0], "closed": SQUARE_JSON["vertices"][0]}]},
      "document.region.removed[0]"),
+    ({"vertices": SQUARE_JSON["vertices"],
+      "splitting_lines": [{"anchor": SQUARE_JSON["vertices"][0], "direction": ["0", "0"]}]},
+     "document.splitting_lines[0].direction"),
 ])
 def test_render_malformed_document_exits_2_naming_the_field(tmp_path, capsys, doc, field):
     f = tmp_path / "bad.json"

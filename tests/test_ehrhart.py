@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +17,7 @@ from ehrpoly import (
     denominator,
     ehrhart,
     gf_series_check,
+    glued,
     heptagon,
     is_pip,
     lattice_count,
@@ -35,7 +37,7 @@ from ehrpoly import (
 from ehrpoly.ehrhart import EhrhartQuasiPolynomial, ehrhart_interpolated, region_denominator
 from ehrpoly.jsonio import quasi_to_json
 from ehrpoly.regions import HalfOpenSegment, SemiOpenRegion
-from ehrpoly.sampling import polygon_corpus
+from ehrpoly.sampling import SplitMix64, polygon_corpus
 from test_geometry import fractions_made, rational_polygons
 from test_unimodular import regions
 
@@ -411,6 +413,45 @@ class TestMcMullen:
                          for a, b in P.edges())
                      for p in range(1, p1 + 1)]
             assert meets == [False] * (p1 - 1) + [True]
+
+    def test_c0_is_a_sum_of_vertex_terms(self):
+        # McMullen's locality: c0 is a constant plus one function of n per
+        # vertex v, of period q_v, the lcm of v's coordinate denominators.
+        # When the q_v that are maximal under divisibility are pairwise
+        # coprime, take n_v = r (mod q_v) and n_v = 0 (mod each other one);
+        # then den*c0(r) = sum_v den*c0(n_v) - (k - 1)*den for k periods,
+        # with den*c0(n) read off the count at n, not the engine's a0
+        rng = SplitMix64(1978)
+        polys = [glued(3, 4), glued(5, 7)]
+        while len(polys) < 300:
+            pts = []
+            for _ in range(rng.int_between(3, 6)):
+                q = rng.int_between(1, 7)
+                pts.append((F(rng.int_between(-3 * q, 3 * q), q),
+                            F(rng.int_between(-3 * q, 3 * q), q)))
+            try:
+                polys.append(convex_hull(pts))
+            except DegenerateInput:
+                pass
+        several = 0
+        for P in polys:
+            qs = {math.lcm(x.denominator, y.denominator) for x, y in P.vertices}
+            kept = [q for q in qs if not any(p != q and p % q == 0 for p in qs)]
+            if any(math.gcd(a, b) > 1 for a, b in combinations(kept, 2)):
+                continue
+            qp = ehrhart(P)
+            D, den = qp.modulus, qp.den
+            assert D == math.prod(kept)
+
+            def den_c0(n):
+                return den * lattice_count(P, n) - qp.a2[0] * n * n - qp.a1[n % D] * n
+
+            for r in range(D):
+                # the n in 1..D with n = r (mod q) and n = 0 (mod D / q)
+                ns = [D // q * (r * pow(D // q, -1, q) % q) or D for q in kept]
+                assert qp.a0[r] == sum(map(den_c0, ns)) - (len(kept) - 1) * den
+            several += len(kept) >= 2
+        assert several >= 150
 
 
 def _line_meets_lattice(a, d):

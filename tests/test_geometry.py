@@ -589,3 +589,75 @@ class TestIntegerCore:
         given_pts = {point(*p) for p in pts}
         assert set(h.vertices) <= given_pts
         assert all(h.contains(p) for p in given_pts)
+
+
+def _count_parameters():
+    """(entry point, parameter, least value, call passing the value) for
+    every count parameter of the package."""
+    from ehrpoly import constructions as cons, verify
+    from ehrpoly.ehrhart import ehrhart_interpolated, gf_series_check, series_coefficients
+    from ehrpoly.regions import region, region_count, region_count_naive
+    from ehrpoly.unimodular import iterate, skew_plus
+
+    seg = HalfOpenSegment((0, 0), (1, 0))
+    R = region(SQUARE.vertices, [seg])
+    return [
+        ("Polygon.dilate", "n", 1, SQUARE.dilate),
+        ("lattice_count", "n", 1, lambda v: lattice_count(SQUARE, v)),
+        ("lattice_count_rowscan", "n", 1, lambda v: lattice_count_rowscan(SQUARE, v)),
+        ("lattice_count_naive", "n", 1, lambda v: lattice_count_naive(SQUARE, v)),
+        ("lattice_points", "n", 1, lambda v: lattice_points(SQUARE, v)),
+        ("boundary_count", "n", 1, lambda v: boundary_count(SQUARE, v)),
+        ("boundary_points", "n", 1, lambda v: boundary_points(SQUARE, v)),
+        ("interior_count", "n", 1, lambda v: interior_count(SQUARE, v)),
+        ("HalfOpenSegment.dilate", "n", 1, seg.dilate),
+        ("segment_count", "n", 1, lambda v: segment_count(seg, v)),
+        ("region_count", "n", 1, lambda v: region_count(R, v)),
+        ("region_count_naive", "n", 1, lambda v: region_count_naive(R, v)),
+        ("pip_b2", "I", 1, cons.pip_b2),
+        ("pip_b2_half", "I", 1, cons.pip_b2_half),
+        ("pip_b1", "I", 1, cons.pip_b1),
+        ("heptagon", "s", 2, cons.heptagon),
+        ("heptagon_anchor", "s", 2, cons.heptagon_anchor),
+        ("heptagon_decomposition", "s", 2, cons.heptagon_decomposition),
+        ("triangle_q", "t", 1, lambda v: cons.triangle_q((0, 0), v)),
+        ("glued", "s", 2, lambda v: cons.glued(v, 2)),
+        ("glued", "t", 2, lambda v: cons.glued(2, v)),
+        ("glued_count_identity", "n_max", 1, lambda v: cons.glued_count_identity(2, 2, v)),
+        ("counts_preserved", "n_max", 1, lambda v: cons.pip_b1(1).counts_preserved(v)),
+        ("scott_pip_search", "trials", 0, lambda v: cons.scott_pip_search(1, v)),
+        ("scott_pip_search", "max_denominator", 1,
+         lambda v: cons.scott_pip_search(1, 1, max_denominator=v)),
+        ("scott_pip_search", "coord_bound", 1, lambda v: cons.scott_pip_search(1, 1, coord_bound=v)),
+        ("polygon_corpus", "size", 0, lambda v: polygon_corpus(1, v)),
+        ("polygon_corpus", "max_denominator", 1, lambda v: polygon_corpus(1, 1, max_denominator=v)),
+        ("polygon_corpus", "coord_bound", 1, lambda v: polygon_corpus(1, 1, coord_bound=v)),
+        ("ehrhart_interpolated", "extra_checks", 1, lambda v: ehrhart_interpolated(SQUARE, v)),
+        ("series_coefficients", "t", 1, lambda v: series_coefficients(v, 5)),
+        ("series_coefficients", "N", 0, lambda v: series_coefficients(2, v)),
+        ("gf_series_check", "t", 1, lambda v: gf_series_check(SQUARE, v, 9)),
+        ("gf_series_check", "N", 6, lambda v: gf_series_check(SQUARE, 2, v)),
+        ("iterate", "k", 1, lambda v: iterate(skew_plus((0, -1)), v, SQUARE)),
+        ("verify_pip", "max_I", 1, lambda v: verify.verify_pip(max_I=v, max_n=1)),
+        ("verify_pip", "max_n", 1, lambda v: verify.verify_pip(max_I=1, max_n=v)),
+        ("verify_heptagon", "max_s", 2, lambda v: verify.verify_heptagon(max_s=v)),
+        ("verify_glue", "max_s", 2, lambda v: verify.verify_glue(max_s=v, max_t=2)),
+        ("verify_glue", "max_t", 2, lambda v: verify.verify_glue(max_s=2, max_t=v)),
+        ("verify_mcmullen", "trials", 1, lambda v: verify.verify_mcmullen(trials=v)),
+        ("verify_transforms", "max_I", 1, lambda v: verify.verify_transforms(max_I=v)),
+    ]
+
+
+COUNT_PARAMETERS = _count_parameters()
+
+
+@pytest.mark.parametrize("entry, name, least, call", COUNT_PARAMETERS,
+                         ids=[f"{entry}-{name}" for entry, name, _, _ in COUNT_PARAMETERS])
+def test_every_count_parameter_refuses_bools_floats_and_values_below_its_least(
+        entry, name, least, call):
+    # one check for all of them: a bool or a float is not a count, even
+    # when it equals a valid one, and each message names the parameter
+    for bad in (True, float(least), least - 1):
+        need = f"at least {least}" if type(bad) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^{name} must be {need}, got {bad!r}$"):
+            call(bad)

@@ -9,6 +9,7 @@ from ehrpoly import (
     Polygon,
     RegionUnion,
     SemiOpenRegion,
+    apply_piecewise,
     lattice_count,
     lattice_length,
     region,
@@ -16,6 +17,7 @@ from ehrpoly import (
     region_count_naive,
     segment_count,
     segment_lattice_count,
+    skew_plus,
 )
 from ehrpoly import geometry
 from ehrpoly.geometry import cross
@@ -129,6 +131,21 @@ def test_naive_region_count_reads_no_counting_plan(monkeypatch):
     monkeypatch.setattr(geometry, "_counting_plan", broken)
     R = region([(0, 0), (F(5, 2), 0), (1, F(7, 3))], [((0, 0), (1, 0))])
     assert [region_count_naive(R, n) for n in (1, 2, 6)] == [4, 14, 109]
+
+
+def test_naive_region_count_takes_every_region_kind():
+    # the removed edge crosses the cut, so one end of the seam is removed
+    # from one piece only: it must not count, and a plain union of the
+    # pieces' points counts 59 at n = 3
+    R = region([(-2, -2), (1, -1), (2, 2), (1, 2)], [((1, -1), (2, 2))])
+    U = apply_piecewise(skew_plus((1, 0)), R)
+    assert isinstance(U, RegionUnion)
+    for X in (R.closed, R, U):
+        assert [region_count_naive(X, n) for n in (1, 2, 3)] == [
+            region_count(X, n) for n in (1, 2, 3)]
+    assert region_count_naive(U, 3) == region_count(R, 3) == 58
+    with pytest.raises(InvalidRegion):
+        region_count_naive(HalfOpenSegment((0, 0), (1, 0)), 1)
 
 
 class TestRegionUnion:

@@ -25,6 +25,7 @@ from ehrpoly import (
     primitive,
     region,
     region_count,
+    region_count_naive,
     skew,
     skew_minus,
     skew_plus,
@@ -302,6 +303,11 @@ class TestApplyPiecewiseProperties:
         out = apply_piecewise(m, R)
         for n in range(1, 2 * region_denominator(R) + 1):
             assert region_count(out, n) == region_count(R, n)
+        # the oracle takes every kind: R is a Polygon or a SemiOpenRegion,
+        # its image a SemiOpenRegion or a RegionUnion
+        for X in (R, out):
+            assert [region_count_naive(X, n) for n in (1, 2, 3)] == [
+                region_count(X, n) for n in (1, 2, 3)]
 
     @settings(max_examples=60, deadline=None)
     @given(rational_polygons(), piecewise_maps())
