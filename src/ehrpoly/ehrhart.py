@@ -18,10 +18,12 @@ integers over 2D^2, and the tables stay integers over one reduced
 denominator: periods and JSON are taken from the integers, and a table
 becomes Fractions only when its `c2`, `c1` or `c0` view is read.
 
-`is_pip` builds no tables.  A c1 that is not constant rules a polynomial
-out at once; otherwise the test stops at the first count that leaves
-c2 n^2 + c1 n + 1.  The interpolating fit, `ehrhart_interpolated`, is
-kept as the oracle the engine is tested against.
+`is_pip` builds no tables for a polygon: p1 != 1 rules it out, and
+otherwise c1 is half its lattice perimeter; a region with a removed
+segment or a seam is ruled out when its c1 table is not constant.  Then
+the test stops at the first count that leaves c2 n^2 + c1 n + 1.  The
+interpolating fit, `ehrhart_interpolated`, is kept as the oracle the
+engine is tested against.
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ from .geometry import (
     Polygon,
     _area_numerator,
     _edge_lines,
+    _line,
     _require_int,
     _segment_count,
     lattice_count,
 )
-from .regions import _pieces, region_count, region_denominator
+from .regions import InvalidRegion, _pieces, region_count, region_denominator
 
 
 class VerificationFailure(ArithmeticError):
@@ -252,18 +255,42 @@ def period_sequence(R) -> PeriodSequence:
 def is_pip(R) -> bool:
     """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial.
 
-    Equals ``ehrhart(R).quasi_period == 1`` without building the tables.
-    A c1 that is not constant over the residues rules it out; for a
-    polygon that is the test p1 != 1.  Otherwise the counts at n = 1..D
-    must equal c2 n^2 + c1 n + 1, and the test stops at the first that
-    does not.
+    Equals ``ehrhart(R).quasi_period == 1`` without building the tables:
+    c1 must be constant and the counts at n = 1..D must equal
+    c2 n^2 + c1 n + 1; the test stops at the first that does not.
+
+    A polygon, or a region with nothing removed and no seam, is settled
+    from its edges in O(edges).  An edge of QP with `_line` (c, g, u, v)
+    and period p = Q/gcd(Q, c) adds (g/Q)(1/2 - {-n c/Q}) to c1(n) (see
+    `_linear_numerators`): at most g/(2Q), reached at n ≡ 0 (mod Q), and
+    g/(2Qp) on average over a period.  A constant c1 equals both its value
+    at n = Q and its mean, so every p = 1, that is p1 = 1; then c1 is the
+    sum of g/(2Q), half the lattice perimeter.
+
+    A removed segment or a seam subtracts a term of the other sign, which
+    can cancel an edge's jumps, so such a region keeps the c1 table: the
+    triangle (-1, -1), (3, 3/2), (1, 3/2) has p1 = 2, but less the
+    half-open segment ((2, 3/2), (1, 3/2)] it has quasi-period 1.
     """
-    D, polys, segs = _engine_pieces(R)
-    a1 = _linear_numerators(D, polys, segs)
-    if a1.count(a1[0]) != D:
-        return False
+    polys, removed, seams = _pieces(R)
+    if removed or seams:
+        D, polys, segs = _engine_pieces(R)
+        a1 = _linear_numerators(D, polys, segs)
+        if a1.count(a1[0]) != D:
+            return False
+        a1 = a1[0]
+    else:
+        (P,) = polys
+        D, V, perimeter = P._Q, P._V, 0
+        for a, b in zip(V, V[1:] + V[:1]):
+            c, g, _, _ = _line(a, b)
+            if c % D:   # p > 1
+                return False
+            perimeter += g
+        # 2D^2 * c1, with c1 = perimeter / 2D
+        a1 = D * perimeter
     a2, den = _area_numerator(D, polys), 2 * D * D
-    return all(den * region_count(R, n) == a2 * n * n + a1[0] * n + den
+    return all(den * region_count(R, n) == a2 * n * n + a1 * n + den
                for n in range(1, D + 1))
 
 
@@ -275,11 +302,11 @@ def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:
     p0 = lcm of vertex coordinate denominators.  By construction
     p2 | p1 | p0, and each coefficient period s_i divides p_i.
     """
-    Q = P._Q
-    p1 = 1
-    for c, _, _, _, _ in _edge_lines(P):
-        # the line of p*edge meets Z^2 iff Q divides p*c (see _lattice_line)
-        p1 = math.lcm(p1, Q // math.gcd(Q, c))
+    if not isinstance(P, Polygon):
+        raise InvalidRegion(f"mcmullen_indices takes a Polygon, got {type(P).__name__}")
+    Q, V = P._Q, P._V
+    # the line of p*edge meets Z^2 iff Q divides p*c (see _line)
+    p1 = math.lcm(*(Q // math.gcd(Q, _line(a, b)[0]) for a, b in zip(V, V[1:] + V[:1])))
     return 1, p1, Q
 
 

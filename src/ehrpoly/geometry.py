@@ -9,9 +9,10 @@ Its validity check, convex hulls and unions, dilates, translates, areas,
 containment, lattice and boundary counts, and the lattice points of
 segments, boundaries and dilates run on integers.  One monotone chain
 (`_monotone_chain`) builds every hull and accepts a vertex list iff the
-list is its own hull; one lattice-line formula (`_lattice_line`) serves
-every segment; one edge test (`_edge_sides`) places points against edges;
-one check (`_require_int`) guards every count parameter.  Hulls, unions,
+list is its own hull; one lattice-line formula (`_line`, which
+`_lattice_line` extends by a start point) serves every segment and edge
+period; one edge test (`_edge_sides`) places points against edges; one
+check (`_require_int`) guards every count parameter.  Hulls, unions,
 dilates and translates build their polygons from integers through one
 unchecked constructor (`Polygon._from_scaled`).
 
@@ -328,19 +329,28 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _lattice_line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int, int]:
-    """(c, k, g, u, v) for the line through the integer points a != b.
+def _line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int]:
+    """(c, g, u, v) for the line through the integer points a != b.
 
     g = gcd(b - a) and (u, v) = (b - a) / g, so the line is u*y - v*x = c.
-    With alpha*u + beta*v = 1, s = alpha*x + beta*y runs along it from k at
-    a to k + g at b.  Scaled by n/Q the line is u*y - v*x = n*c/Q, which
-    meets Z^2 iff Q divides n*c; its lattice points are then the points
-    where s is an integer, since s grows by 1 along each step (u, v).
+    Scaled by n/Q the line is u*y - v*x = n*c/Q, which meets Z^2 iff Q
+    divides n*c: first at n = Q / gcd(Q, c), the period of a segment on it.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
-    g, alpha, beta = _egcd(dx, dy)
+    g = math.gcd(dx, dy)
     u, v = dx // g, dy // g
-    return u * a[1] - v * a[0], alpha * a[0] + beta * a[1], g, u, v
+    return u * a[1] - v * a[0], g, u, v
+
+
+def _lattice_line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """(c, k, g, u, v): the `_line` (c, g, u, v) of a -> b and a start k.
+    With alpha*u + beta*v = 1, s = alpha*x + beta*y runs along the line
+    from k at a to k + g at b, growing by 1 along each step (u, v); where
+    n/Q times the line meets Z^2, its lattice points are where s is an
+    integer."""
+    c, g, u, v = _line(a, b)
+    _, alpha, beta = _egcd(u, v)
+    return c, alpha * a[0] + beta * a[1], g, u, v
 
 
 def _edge_lines(P: Polygon) -> tuple:

@@ -45,8 +45,11 @@ def trial_rng(seed: int, trial: int) -> SplitMix64:
 
     The start state mixes (seed, trial) through the finalizer.  Starting at
     seed + trial * golden instead would make each trial's stream the next
-    one's shifted by a single draw.
+    one's shifted by a single draw.  The seed is any int, negative ones
+    included, but not a bool: every seeded entry point draws through here.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     return SplitMix64(_mix((_mix(seed & _MASK) + trial) & _MASK))
 
 

@@ -143,6 +143,26 @@ class TestInterpolation:
         assert q == ehrhart(heptagon(3)) and hash(q) == hash(ehrhart(heptagon(3)))
 
 
+@st.composite
+def small_regions(draw):
+    """Polygons with denominators <= 3 and coordinates in [-2, 2], of which
+    about a quarter are PIPs, closed or less a half-open piece of an edge
+    between points at thirds or halves of it."""
+    q = draw(st.integers(1, 3))
+    coord = st.integers(-2 * q, 2 * q).map(lambda k: F(k, q))
+    try:
+        P = convex_hull(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=5)))
+    except DegenerateInput:
+        assume(False)
+    if draw(st.booleans()):
+        return P
+    a, b = draw(st.sampled_from(list(P.edges())))
+    at = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1)])
+    ks = draw(st.lists(at, min_size=2, max_size=2, unique=True))
+    ends = [(a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1])) for k in ks]
+    return SemiOpenRegion(P, [HalfOpenSegment(*ends)])
+
+
 def _eh():
     import sys
     return sys.modules["ehrpoly.ehrhart"]
@@ -240,11 +260,46 @@ class TestEngine:
     def test_is_pip_refuses_a_nonconstant_c1_without_counting(self, monkeypatch):
         eh = _eh()
         monkeypatch.setattr(eh, "region_count", lambda R, n: pytest.fail("counted"))
+        monkeypatch.setattr(eh, "_linear_numerators", lambda *a: pytest.fail("built a c1 table"))
         assert not eh.is_pip(heptagon(3))
         assert mcmullen_indices(heptagon(3))[1] != 1
 
 
 class TestIsPip:
+    def test_settles_a_polygon_from_its_edges(self, monkeypatch):
+        # D = 1,005,973: the c1 table would be a million entries per edge
+        eh = _eh()
+        monkeypatch.setattr(eh, "region_count", lambda R, n: pytest.fail("counted"))
+        monkeypatch.setattr(eh, "_linear_numerators", lambda *a: pytest.fail("built a c1 table"))
+        assert not eh.is_pip(glued(997, 1009))
+
+    def test_a_polygon_with_p1_equal_to_1_allocates_nothing_that_grows_with_D(self):
+        import tracemalloc
+        T = Polygon([(0, 0), (3, F(2, 5)), (F(7, 1000003), F(1, 3))])
+        assert denominator(T) == 15000045 and mcmullen_indices(T)[1] == 1
+        tracemalloc.start()
+        try:
+            assert not is_pip(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_a_removed_segment_can_cancel_an_edge_period(self):
+        # why a region with removed segments keeps the c1 table: the
+        # segment's term cancels the jumps of the edge it lies on
+        P = Polygon([(-1, -1), (3, F(3, 2)), (1, F(3, 2))])
+        R = SemiOpenRegion(P, [HalfOpenSegment((2, F(3, 2)), (1, F(3, 2)))])
+        assert ehrhart(R).quasi_period == 1 and is_pip(R)
+        assert mcmullen_indices(R.closed)[1] == 2 and not is_pip(P)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(regions(), small_regions()))
+    def test_agrees_with_quasi_period_on_regions(self, R):
+        assert is_pip(R) == (ehrhart(R).quasi_period == 1)
+        if isinstance(R, Polygon) and is_pip(R):
+            assert mcmullen_indices(R)[1] == 1
+
     def test_agrees_with_quasi_period_on_search_corpus(self):
         polys = polygon_corpus(4, 500, max_denominator=4, coord_bound=4)
         verdicts = [is_pip(P) for P in polys]
@@ -405,6 +460,17 @@ class TestMcMullen:
             assert p1 % p2 == 0 and p0 % p1 == 0
             assert p2 % ps.s2 == 0 and p1 % ps.s1 == 0 and p0 % ps.s0 == 0
             assert p0 == denominator(P)
+
+    @pytest.mark.parametrize("R", [
+        SemiOpenRegion(SQUARE),
+        RegionUnion([SemiOpenRegion(SQUARE), SemiOpenRegion(SQUARE.translate((1, 0)))],
+                    HalfOpenSegment((1, 0), (1, 1))),
+        HalfOpenSegment((0, 0), (1, 0)),
+        None,
+    ], ids=["SemiOpenRegion", "RegionUnion", "HalfOpenSegment", "None"])
+    def test_names_a_region_that_is_not_a_polygon(self, R):
+        with pytest.raises(InvalidRegion, match=f"takes a Polygon, got {type(R).__name__}"):
+            mcmullen_indices(R)
 
     def test_p1_is_least_dilation_whose_edge_lines_meet_the_lattice(self, corpus200):
         for P in corpus200[:60]:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from ehrpoly import (
 )
 from ehrpoly.jsonio import dumps, search_report_to_json
 from ehrpoly.sampling import SplitMix64, _mix, random_polygon, trial_rng
+from ehrpoly.verify import verify_mcmullen
 
 
 def test_zero_trials_gives_empty_report():
@@ -48,6 +50,20 @@ def test_trial_streams_are_position_independent():
     direct = trial_rng(5, 17)
     assert direct.state == _mix(_mix(5) + 17)
     assert SplitMix64(_mix(_mix(5) + 17)).next() == direct.next() == 10884063592994707696
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: scott_pip_search(seed, 3),
+    lambda seed: polygon_corpus(seed, 2),
+    lambda seed: trial_rng(seed, 1),
+    lambda seed: verify_mcmullen(trials=2, seed=seed),
+], ids=["scott_pip_search", "polygon_corpus", "trial_rng", "verify_mcmullen"])
+@pytest.mark.parametrize("seed", [1.5, "7", True, None])
+def test_every_seeded_entry_point_refuses_a_seed_that_is_not_an_int(draw, seed):
+    # any int, negative included, is a seed; nothing else is, not even a bool
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        draw(seed)
+    assert draw(-7)
 
 
 def test_adjacent_trials_share_no_shifted_run():
