@@ -125,6 +125,10 @@ def cmd_construct(args) -> int:
 
 def _decomposition_document(s: int) -> dict:
     dec = cons.heptagon_decomposition(s)
+    failed = [name for name, ok in dec["checks"].items() if not ok]
+    if failed:
+        raise cons.ConstructionMismatch(
+            f"heptagon decomposition for s={s} fails {', '.join(failed)}")
     T1, T2, T3 = dec["triangles"]
     U1T1, U2T2 = dec["mapped"]
     return {

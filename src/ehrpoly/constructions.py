@@ -13,8 +13,9 @@ Two kinds of construction live here:
 Every closed-form vertex list produced here is re-derived by actually
 running the transformation chain, and a ConstructionMismatch is raised if
 the two disagree, so the formulas cannot drift from the geometry.  The
-heptagon's named points are written once (`_heptagon_points`), and every
-count parameter (I, s, t, n_max, trials, bounds) passes `_require_int`.
+heptagon's named points are written once (`_heptagon_points`), and the
+seed and every count parameter (I, s, t, n_max, trials, bounds) pass
+`_require_int`.
 """
 from __future__ import annotations
 
@@ -157,12 +158,14 @@ def pip_b1(I: int) -> ConstructionTrace:
     if P != exp_P:
         raise ConstructionMismatch(f"P for I={I}: chain gave {P!r}, expected {exp_P!r}")
 
-    origin = point(0, 0)
+    def lines(*maps):
+        return tuple((m.anchor, m.direction) for m in maps)
+
     steps = (
         TraceStep("T1", T1, ehrhart(T1)),
-        TraceStep("T2", T2, ehrhart(T2), ((origin, (0, -1)),)),
-        TraceStep("T3", T3, ehrhart(T3), ((origin, (-1, -1)), (origin, (1, -1)))),
-        TraceStep("P", final_region, ehrhart(final_region), ((origin, (0, 1)),)),
+        TraceStep("T2", T2, ehrhart(T2), lines(down)),
+        TraceStep("T3", T3, ehrhart(T3), lines(corner_right, corner_left)),
+        TraceStep("P", final_region, ehrhart(final_region), lines(up)),
     )
     return ConstructionTrace(steps, P)
 
@@ -247,6 +250,7 @@ def heptagon_decomposition(s: int) -> dict:
 def constant_coefficient_of_interval(s: int, n: int) -> Fraction:
     """floor(n/s) - n/s + 1: the constant Ehrhart coefficient of [0, 1/s],
     a function of n mod s with minimal period s."""
+    _require_int("s", s, 1)
     return Fraction(math.floor(Fraction(n, s))) - Fraction(n, s) + 1
 
 
@@ -368,6 +372,7 @@ def scott_pip_search(seed: int, trials: int, max_denominator: int = 4,
     strict list uses b <= 2I + 6 with the (1, 9) exception; the weak list
     uses the looser b <= 2I + 7.  Both concern I >= 1 only.
     """
+    _require_int("seed", seed)
     _require_int("trials", trials, 0)
     _require_int("max_denominator", max_denominator, 1)
     _require_int("coord_bound", coord_bound, 1)

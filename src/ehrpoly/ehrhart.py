@@ -19,10 +19,10 @@ denominator: periods and JSON are taken from the integers, and a table
 becomes Fractions only when its `c2`, `c1` or `c0` view is read.
 
 `is_pip` builds no tables for a polygon: p1 != 1 rules it out, and
-otherwise c1 is half its lattice perimeter; a region with a removed
-segment or a seam is ruled out when its c1 table is not constant.  Then
-the test stops at the first count that leaves c2 n^2 + c1 n + 1.  The
-interpolating fit, `ehrhart_interpolated`, is kept as the oracle the
+otherwise c1 is half its lattice perimeter, and the test stops at the
+first count that leaves c2 n^2 + c1 n + 1.  A region with a removed
+segment or a seam is a PIP when its `ehrhart` tables have quasi-period 1.
+The interpolating fit, `ehrhart_interpolated`, is kept as the oracle the
 engine is tested against.
 """
 from __future__ import annotations
@@ -76,6 +76,7 @@ class EhrhartQuasiPolynomial:
     _periods: PeriodSequence | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, modulus: int, c2, c1, c0):
+        _require_int("modulus", modulus, 1)
         tables = (c2, c1, c0)
         if any(len(t) != modulus for t in tables):
             raise ValueError(f"coefficient tables must have {modulus} entries, "
@@ -255,41 +256,34 @@ def period_sequence(R) -> PeriodSequence:
 def is_pip(R) -> bool:
     """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial.
 
-    Equals ``ehrhart(R).quasi_period == 1`` without building the tables:
-    c1 must be constant and the counts at n = 1..D must equal
-    c2 n^2 + c1 n + 1; the test stops at the first that does not.
-
     A polygon, or a region with nothing removed and no seam, is settled
-    from its edges in O(edges).  An edge of QP with `_line` (c, g, u, v)
-    and period p = Q/gcd(Q, c) adds (g/Q)(1/2 - {-n c/Q}) to c1(n) (see
+    without building tables: c1 must be constant and the counts at
+    n = 1..D must equal c2 n^2 + c1 n + 1; the test stops at the first that
+    does not.  An edge of QP with `_line` (c, g, u, v) and period
+    p = Q/gcd(Q, c) adds (g/Q)(1/2 - {-n c/Q}) to c1(n) (see
     `_linear_numerators`): at most g/(2Q), reached at n ≡ 0 (mod Q), and
     g/(2Qp) on average over a period.  A constant c1 equals both its value
     at n = Q and its mean, so every p = 1, that is p1 = 1; then c1 is the
     sum of g/(2Q), half the lattice perimeter.
 
     A removed segment or a seam subtracts a term of the other sign, which
-    can cancel an edge's jumps, so such a region keeps the c1 table: the
-    triangle (-1, -1), (3, 3/2), (1, 3/2) has p1 = 2, but less the
-    half-open segment ((2, 3/2), (1, 3/2)] it has quasi-period 1.
+    can cancel an edge's jumps (the triangle (-1, -1), (3, 3/2), (1, 3/2)
+    has p1 = 2, but less the half-open segment ((2, 3/2), (1, 3/2)] it has
+    quasi-period 1), so such a region is decided by its tables:
+    ``ehrhart(R).quasi_period == 1``.
     """
     polys, removed, seams = _pieces(R)
     if removed or seams:
-        D, polys, segs = _engine_pieces(R)
-        a1 = _linear_numerators(D, polys, segs)
-        if a1.count(a1[0]) != D:
+        return ehrhart(R).quasi_period == 1
+    (P,) = polys
+    D, V, perimeter = P._Q, P._V, 0
+    for a, b in zip(V, V[1:] + V[:1]):
+        c, g, _, _ = _line(a, b)
+        if c % D:   # p > 1
             return False
-        a1 = a1[0]
-    else:
-        (P,) = polys
-        D, V, perimeter = P._Q, P._V, 0
-        for a, b in zip(V, V[1:] + V[:1]):
-            c, g, _, _ = _line(a, b)
-            if c % D:   # p > 1
-                return False
-            perimeter += g
-        # 2D^2 * c1, with c1 = perimeter / 2D
-        a1 = D * perimeter
-    a2, den = _area_numerator(D, polys), 2 * D * D
+        perimeter += g
+    # 2D^2 * c1, with c1 = perimeter / 2D
+    a2, a1, den = _area_numerator(D, polys), D * perimeter, 2 * D * D
     return all(den * region_count(R, n) == a2 * n * n + a1 * n + den
                for n in range(1, D + 1))
 

@@ -12,7 +12,7 @@ segments, boundaries and dilates run on integers.  One monotone chain
 list is its own hull; one lattice-line formula (`_line`, which
 `_lattice_line` extends by a start point) serves every segment and edge
 period; one edge test (`_edge_sides`) places points against edges; one
-check (`_require_int`) guards every count parameter.  Hulls, unions,
+check (`_require_int`) guards every integer parameter.  Hulls, unions,
 dilates and translates build their polygons from integers through one
 unchecked constructor (`Polygon._from_scaled`).
 
@@ -210,9 +210,10 @@ def _edge_sides(P: Polygon, d: int, p: tuple[int, int]) -> list[int]:
             for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])]
 
 
-def _require_int(name: str, value, least: int) -> None:
-    """The check of every count parameter: an int, not a bool, >= least."""
-    if type(value) is not int or value < least:
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """The check of every integer parameter: an int, not a bool, and
+    >= least when least is given."""
+    if type(value) is not int or (least is not None and value < least):
         need = "an integer" if type(value) is not int else f"at least {least}"
         raise ValueError(f"{name} must be {need}, got {value!r}")
 
@@ -449,18 +450,20 @@ def _counting_plan(P: Polygon):
     of QP; ymin and ymax are the extreme Y.  Along the edge from (X1, Y1)
     to (X2, Y2), row y of nP has boundary abscissa x(y) = (A*y + n*B) / M,
     with A = Q*(X2 - X1), B = X1*Y2 - X2*Y1 and M = Q*(Y2 - Y1).  A rising
-    edge bounds its rows on the right, as the term (A, B, M, Y2); a falling
-    one on the left, as (A, B, -M, Y2), since -ceil(x) = floor(-x).  Right
-    terms run bottom up and left ones top down, as `lattice_count` walks.
+    edge bounds its rows on the right, as the term (A, B, M, top); a falling
+    one on the left, as (A, B, -M, top), since -ceil(x) = floor(-x); top is
+    the edge's greater Y.  Both chains run bottom up, as `lattice_count`
+    walks them, so a vertex row goes to the edge below it.
     """
     Q, V = P._Q, P._V
     right, left = [], []
     for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
         M = Q * (by - ay)
         if M:
-            (right if M > 0 else left).append((Q * (bx - ax), ax * by - bx * ay, abs(M), by))
+            (right if M > 0 else left).append(
+                (Q * (bx - ax), ax * by - bx * ay, abs(M), max(ay, by)))
     right.sort(key=lambda t: t[3])
-    left.sort(key=lambda t: -t[3])
+    left.sort(key=lambda t: t[3])
     ys = [y for _, y in V]
     return Q, min(ys), max(ys), tuple(right), tuple(left)
 
@@ -487,19 +490,13 @@ def lattice_count(P: Polygon, n: int) -> int:
     if ylo > yhi:
         return 0
     total = yhi - ylo + 1
-    cur = ylo
-    for A, B, M, y_end in right:
-        y2 = n * y_end // Q
-        if y2 >= cur:
-            total += floor_sum(min(y2, yhi) - cur + 1, M, A, A * cur + n * B)
-            cur = y2 + 1
-    cur = yhi
-    for A, B, M, y_end in left:
-        y2 = -(-n * y_end // Q)
-        if y2 <= cur:
-            lo = max(y2, ylo)
-            total += floor_sum(cur - lo + 1, M, A, A * lo + n * B)
-            cur = y2 - 1
+    for chain in (right, left):
+        cur = ylo
+        for A, B, M, top in chain:
+            y2 = n * top // Q
+            if y2 >= cur:
+                total += floor_sum(min(y2, yhi) - cur + 1, M, A, A * cur + n * B)
+                cur = y2 + 1
     return total
 
 

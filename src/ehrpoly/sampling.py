@@ -48,8 +48,7 @@ def trial_rng(seed: int, trial: int) -> SplitMix64:
     one's shifted by a single draw.  The seed is any int, negative ones
     included, but not a bool: every seeded entry point draws through here.
     """
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _require_int("seed", seed)
     return SplitMix64(_mix((_mix(seed & _MASK) + trial) & _MASK))
 
 
@@ -61,6 +60,8 @@ def random_polygon(rng: SplitMix64, max_denominator: int, coord_bound: int) -> P
     draws are q, k, then x and y of each point; their order is part of
     every search report.
     """
+    _require_int("max_denominator", max_denominator, 1)
+    _require_int("coord_bound", coord_bound, 1)
     q = rng.int_between(1, max_denominator)
     k = rng.int_between(3, 7)
     pts = [(rng.int_between(-coord_bound * q, coord_bound * q),
@@ -75,6 +76,7 @@ def random_polygon(rng: SplitMix64, max_denominator: int, coord_bound: int) -> P
 def polygon_corpus(seed: int, size: int, max_denominator: int = 6,
                    coord_bound: int = 5) -> list[Polygon]:
     """Deterministic corpus of `size` valid random polygons."""
+    _require_int("seed", seed)
     _require_int("size", size, 0)
     _require_int("max_denominator", max_denominator, 1)
     _require_int("coord_bound", coord_bound, 1)

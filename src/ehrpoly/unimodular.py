@@ -78,9 +78,8 @@ class AffineUnimodular:
     ty: int = 0
 
     def __post_init__(self):
-        for f in (self.m00, self.m01, self.m10, self.m11, self.tx, self.ty):
-            if not isinstance(f, int):
-                raise ValueError(f"entries must be integers, got {f!r}")
+        for name in ("m00", "m01", "m10", "m11", "tx", "ty"):
+            _require_int(name, getattr(self, name))
         if abs(self.det) != 1:
             raise ValueError(f"matrix determinant must be +-1, got {self.det}")
 

@@ -295,6 +295,16 @@ def test_render_heptagon_decomposition(tmp_path, capsys):
     assert "H (s=3)" in svg and "H&apos;" in svg or "H'" in svg
 
 
+def test_construct_heptagon_decomposition_with_a_failed_check_exits_1(capsys, monkeypatch):
+    import ehrpoly.constructions as cons
+    # a wrong constant term of [0, 1/s] fails one named check of the subdivision
+    monkeypatch.setattr(cons, "constant_coefficient_of_interval", lambda s, n: F(0))
+    code, out, err = run(capsys, "construct", "heptagon", "--s", "3", "--decomposition")
+    assert code == 1 and out == ""
+    assert err == ("construction verification failed: heptagon decomposition for s=3 "
+                   "fails H_prime_constant_matches_segment\n")
+
+
 def test_render_escapes_label_text(tmp_path, capsys):
     f = tmp_path / "labelled.json"
     f.write_text(json.dumps({"vertices": SQUARE_JSON["vertices"], "label": "a<b & c"}))
@@ -328,6 +338,29 @@ def test_render_malformed_document_exits_2_naming_the_field(tmp_path, capsys, do
     code, _, err = run(capsys, "render", str(f), str(tmp_path / "out.svg"))
     assert code == 2
     assert err.startswith(f"error: {field}:")
+
+
+_V0, _V1 = [["0", "1"], ["0", "1"]], [["1", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("render", [1, 2], "document: expected a JSON object"),
+    ("analyze", [_V0, _V1], "polygon: expected an object, got list"),
+    ("analyze", {"vertices": [_V0, 5, _V1]}, "polygon.vertices[1]: expected [x, y], got 5"),
+    ("analyze", {"vertices": [_V0, _V1, [1.5, ["1", "1"]]]},
+     'polygon.vertices[2][0]: expected ["num", "den"], got 1.5'),
+    ("analyze", {"vertices": [_V0, _V1, [[True, "1"], ["1", "1"]]]},
+     "polygon.vertices[2][0][0]: expected an integer string, got True"),
+    ("render", {"vertices": [_V0, _V1, [["0", "1"], ["1", "1"]]], "splitting_lines": [5]},
+     'document.splitting_lines[0]: expected {"anchor": vertex, "direction": ["dx", "dy"]}'),
+], ids=["document", "polygon", "vertex", "coordinate", "numerator", "splitting-line"])
+def test_a_malformed_field_exits_2_with_its_path(tmp_path, capsys, command, doc, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    argv = [command, str(f)] + ([str(tmp_path / "out.svg")] if command == "render" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_analyze_pentagram_exits_2(tmp_path, capsys):

@@ -595,8 +595,10 @@ def _count_parameters():
     """(entry point, parameter, least value, call passing the value) for
     every count parameter of the package."""
     from ehrpoly import constructions as cons, verify
-    from ehrpoly.ehrhart import ehrhart_interpolated, gf_series_check, series_coefficients
+    from ehrpoly.ehrhart import (
+        EhrhartQuasiPolynomial, ehrhart_interpolated, gf_series_check, series_coefficients)
     from ehrpoly.regions import region, region_count, region_count_naive
+    from ehrpoly.sampling import random_polygon, trial_rng
     from ehrpoly.unimodular import iterate, skew_plus
 
     seg = HalfOpenSegment((0, 0), (1, 0))
@@ -620,6 +622,8 @@ def _count_parameters():
         ("heptagon", "s", 2, cons.heptagon),
         ("heptagon_anchor", "s", 2, cons.heptagon_anchor),
         ("heptagon_decomposition", "s", 2, cons.heptagon_decomposition),
+        ("constant_coefficient_of_interval", "s", 1,
+         lambda v: cons.constant_coefficient_of_interval(v, 1)),
         ("triangle_q", "t", 1, lambda v: cons.triangle_q((0, 0), v)),
         ("glued", "s", 2, lambda v: cons.glued(v, 2)),
         ("glued", "t", 2, lambda v: cons.glued(2, v)),
@@ -632,6 +636,9 @@ def _count_parameters():
         ("polygon_corpus", "size", 0, lambda v: polygon_corpus(1, v)),
         ("polygon_corpus", "max_denominator", 1, lambda v: polygon_corpus(1, 1, max_denominator=v)),
         ("polygon_corpus", "coord_bound", 1, lambda v: polygon_corpus(1, 1, coord_bound=v)),
+        ("random_polygon", "max_denominator", 1, lambda v: random_polygon(trial_rng(1, 0), v, 3)),
+        ("random_polygon", "coord_bound", 1, lambda v: random_polygon(trial_rng(1, 0), 2, v)),
+        ("EhrhartQuasiPolynomial", "modulus", 1, lambda v: EhrhartQuasiPolynomial(v, (), (), ())),
         ("ehrhart_interpolated", "extra_checks", 1, lambda v: ehrhart_interpolated(SQUARE, v)),
         ("series_coefficients", "t", 1, lambda v: series_coefficients(v, 5)),
         ("series_coefficients", "N", 0, lambda v: series_coefficients(2, v)),

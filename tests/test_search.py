@@ -54,10 +54,13 @@ def test_trial_streams_are_position_independent():
 
 @pytest.mark.parametrize("draw", [
     lambda seed: scott_pip_search(seed, 3),
+    lambda seed: scott_pip_search(seed, 0),
     lambda seed: polygon_corpus(seed, 2),
+    lambda seed: polygon_corpus(seed, 0) == [],
     lambda seed: trial_rng(seed, 1),
     lambda seed: verify_mcmullen(trials=2, seed=seed),
-], ids=["scott_pip_search", "polygon_corpus", "trial_rng", "verify_mcmullen"])
+], ids=["scott_pip_search", "scott_pip_search-no-trials", "polygon_corpus",
+        "polygon_corpus-empty", "trial_rng", "verify_mcmullen"])
 @pytest.mark.parametrize("seed", [1.5, "7", True, None])
 def test_every_seeded_entry_point_refuses_a_seed_that_is_not_an_int(draw, seed):
     # any int, negative included, is a seed; nothing else is, not even a bool

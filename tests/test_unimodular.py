@@ -79,6 +79,8 @@ class TestSkew:
             AffineUnimodular(2, 0, 0, 1)
         with pytest.raises(ValueError):
             AffineUnimodular(1, 0, 0, 1, tx=F(1, 2))  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="^m00 must be an integer, got True$"):
+            AffineUnimodular(True, 0, 0, True)  # type: ignore[arg-type]
 
 
 class TestPiecewiseMaps:
