@@ -8,14 +8,20 @@ Subcommands:
     search     seeded random search for Scott counterexamples among PIPs
     render     polygon/region/trace JSON -> SVG figure
 
+Each construct family and verify suite has its own parser, which takes
+only its options, after its name and spelled in full; a verify suite's
+options are its function's parameters.
+
 Exit codes: 0 success, 1 verification failure / counterexample found,
-2 usage or parse error.  Output is canonical JSON (sorted keys), identical
-bytes for identical invocations.
+2 usage or parse error (argparse exits 2 itself on an option the target
+does not take or a required one left out).  Output is canonical JSON
+(sorted keys), identical bytes for identical invocations.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 from fractions import Fraction
 
@@ -76,28 +82,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# the options each family takes; I, s and t are required where taken
+# each family's options, with the arguments that define them
 _FAMILY_OPTIONS = {"pip-b1": ("I", "trace"), "pip-b2": ("I",), "heptagon": ("s", "decomposition"),
                    "triangle-q": ("t", "anchor"), "glued": ("s", "t")}
-
-
-def _options(args, command: str, table: dict, key: str, required=()) -> tuple:
-    """The options that table[key] takes.  Each option in the table is None
-    when left out; raise ValueError naming one that is given but not taken,
-    or taken and `required` but left out."""
-    takes = table[key]
-    for name in dict.fromkeys(o for opts in table.values() for o in opts):
-        given = getattr(args, name) is not None
-        if given and name not in takes:
-            raise ValueError(f"{command} {key} does not take --{name.replace('_', '-')}")
-        if not given and name in takes and name in required:
-            raise ValueError(f"{command} {key}: missing required --{name}")
-    return takes
+_OPTION_ARGUMENTS = {
+    "I": dict(type=int, required=True, help="number of interior lattice points"),
+    "s": dict(type=int, required=True, help="linear-coefficient period (>= 2)"),
+    "t": dict(type=int, required=True, help="constant-coefficient period"),
+    "anchor": dict(default="0,0", help="lattice anchor for triangle-q (default 0,0)"),
+    "trace": dict(action="store_true", help="emit the full construction trace (pip-b1)"),
+    "decomposition": dict(action="store_true", help="emit the subdivision panels (heptagon)"),
+}
 
 
 def cmd_construct(args) -> int:
     fam = args.family
-    _options(args, "construct", _FAMILY_OPTIONS, fam, required=("I", "s", "t"))
     if fam == "pip-b2":
         doc = jsonio.polygon_to_json(cons.pip_b2(args.I))
     elif fam == "pip-b1":
@@ -110,12 +109,11 @@ def cmd_construct(args) -> int:
         else:
             doc = jsonio.polygon_to_json(cons.heptagon(args.s))
     elif fam == "triangle-q":
-        anchor = "0,0" if args.anchor is None else args.anchor
         try:
-            ax, ay = (int(c) for c in anchor.split(","))
+            ax, ay = (int(c) for c in args.anchor.split(","))
         except ValueError:
             raise ValueError(f"construct triangle-q: --anchor takes x,y with integers "
-                             f"x and y, got {anchor!r}") from None
+                             f"x and y, got {args.anchor!r}") from None
         doc = jsonio.polygon_to_json(cons.triangle_q((ax, ay), args.t))
     else:  # glued
         doc = jsonio.polygon_to_json(cons.glued(args.s, args.t))
@@ -145,17 +143,12 @@ def _decomposition_document(s: int) -> dict:
     }
 
 
-# the options each suite takes; the suite's own signature holds their defaults
-_SUITE_OPTIONS = {"pip": ("max_I", "max_n"), "heptagon": ("max_s",),
-                  "glue": ("max_s", "max_t"), "mcmullen": ("trials", "seed"),
-                  "transforms": ("max_I",)}
-
-
 def cmd_verify(args) -> int:
-    kwargs = {name: getattr(args, name)
-              for name in _options(args, "verify", _SUITE_OPTIONS, args.suite)
-              if getattr(args, name) is not None}
-    report = verify.SUITES[args.suite](**kwargs)
+    suite = verify.SUITES[args.suite]
+    # a bound left out is not in args, so it keeps the suite's own default
+    kwargs = {name: getattr(args, name) for name in inspect.signature(suite).parameters
+              if hasattr(args, name)}
+    report = suite(**kwargs)
     _write_out(jsonio.dumps(report), args.output)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
@@ -214,30 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
-    p.add_argument("family", choices=list(_FAMILY_OPTIONS))
-    # no defaults here: an option left out is None, which `_options` reads
-    p.add_argument("--I", type=int, help="number of interior lattice points")
-    p.add_argument("--s", type=int, help="linear-coefficient period (>= 2)")
-    p.add_argument("--t", type=int, help="constant-coefficient period")
-    p.add_argument("--anchor", help="lattice anchor for triangle-q (default 0,0)")
-    p.add_argument("--trace", action="store_true", default=None,
-                   help="emit the full construction trace (pip-b1)")
-    p.add_argument("--decomposition", action="store_true", default=None,
-                   help="emit the subdivision panels (heptagon)")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_construct)
+    targets = p.add_subparsers(dest="family", required=True)
+    for family, options in _FAMILY_OPTIONS.items():
+        f = targets.add_parser(family, allow_abbrev=False)
+        for name in options:
+            f.add_argument(f"--{name}", **_OPTION_ARGUMENTS[name])
+        f.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.add_argument("suite", choices=sorted(verify.SUITES))
-    # no defaults here: an option left out leaves the suite's own default
-    p.add_argument("--max-I", dest="max_I", type=int)
-    p.add_argument("--max-n", dest="max_n", type=int)
-    p.add_argument("--max-s", dest="max_s", type=int)
-    p.add_argument("--max-t", dest="max_t", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
+    targets = p.add_subparsers(dest="suite", required=True)
+    for name, suite in sorted(verify.SUITES.items()):
+        # the suite's signature is the one list of its bounds and their defaults
+        f = targets.add_parser(name, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for param in inspect.signature(suite).parameters.values():
+            f.add_argument(f"--{param.name.replace('_', '-')}", dest=param.name, type=int,
+                           help=f"default {param.default}")
+        f.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("search", help="search PIPs for Scott counterexamples")
     p.add_argument("--seed", type=int, default=1)

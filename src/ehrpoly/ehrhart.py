@@ -28,6 +28,7 @@ engine is tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -109,10 +110,15 @@ class EhrhartQuasiPolynomial:
     c0 = cached_property(lambda q: tuple(Fraction(x, q.den) for x in q.a0))
 
     def evaluate(self, n: int) -> Fraction:
+        _require_int("n", n)
         r = n % self.modulus
         return Fraction(self.a2[r] * n * n + self.a1[r] * n + self.a0[r], self.den)
 
     def coefficient(self, i: int, n: int) -> Fraction:
+        """c_i(n), the coefficient of n^i, for i = 0, 1 or 2."""
+        if type(i) is not int or i not in (0, 1, 2):
+            raise ValueError(f"i must be 0, 1 or 2, got {i!r}")
+        _require_int("n", n)
         return Fraction((self.a0, self.a1, self.a2)[i][n % self.modulus], self.den)
 
     def period_sequence(self) -> PeriodSequence:
@@ -132,6 +138,14 @@ class EhrhartQuasiPolynomial:
     @property
     def is_polynomial(self) -> bool:
         return self.quasi_period == 1
+
+
+def _require_table_size(D: int) -> None:
+    """Raise ValueError, before any table is built, when no list of D
+    entries can be indexed."""
+    if D > sys.maxsize:
+        raise ValueError(f"denominator D = {D} is larger than the largest table "
+                         f"size, {sys.maxsize}")
 
 
 def _divide(a: list[int], g: int) -> None:
@@ -202,9 +216,11 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     c2 and c1 come in closed form from the edges and c0 from the counts at
     n = 1..D.  Reciprocity checks the count at each n against the count at
     D - n; n = D is checked by c0(0) = 1 and, for even D, n = D/2 by one
-    more count at 3D/2.  Any mismatch raises VerificationFailure.
+    more count at 3D/2.  Any mismatch raises VerificationFailure, and a D
+    too large for a table to hold, ValueError.
     """
     D, polys, segs = _engine_pieces(R)
+    _require_table_size(D)
     den = 2 * D * D
     a2 = _area_numerator(D, polys)
     a1 = _linear_numerators(D, polys, segs)
@@ -243,10 +259,9 @@ def minimal_period(values) -> int:
     table exactly when it fixes the first D - p entries.
     """
     D = len(values)
-    for p in range(1, D + 1):
-        if D % p == 0 and values[p:] == values[:D - p]:
-            return p
-    raise AssertionError("unreachable: D is a period of itself")
+    if not D:
+        raise ValueError("an empty sequence has no period")
+    return next(p for p in range(1, D + 1) if D % p == 0 and values[p:] == values[:D - p])
 
 
 def period_sequence(R) -> PeriodSequence:
@@ -340,6 +355,7 @@ def ehrhart_interpolated(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
     """
     _require_int("extra_checks", extra_checks, 1)
     D = region_denominator(R)
+    _require_table_size(D)
     counts = [0] + [region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)]
     den = 2 * D * D
     a2, a1, a0 = [0] * D, [0] * D, [0] * D

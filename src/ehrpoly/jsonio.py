@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .constructions import ConstructionTrace, SearchReport
@@ -45,6 +46,11 @@ def _parse_int(s, path: str) -> int:
     try:
         return int(s)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and len(s) > limit:
+            # too long for int() to read, and too long to echo
+            raise ParseError(path, f"a string of {len(s)} characters, longer than the "
+                                   f"{limit} digits an integer may have") from None
         raise ParseError(path, f"not an integer: {s!r}") from None
 
 
@@ -195,7 +201,7 @@ def dumps(obj) -> str:
 def load_document(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long to convert
         raise ParseError("document", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("document", "invalid JSON: nested too deeply") from None

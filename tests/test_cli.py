@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import json
+import re
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -17,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv) -> str:
+    """The stderr of a call that argparse refuses: it exits 2 and writes
+    nothing to stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err
 
 
 def test_construct_pip_b1(capsys):
@@ -40,8 +53,8 @@ def test_construct_pip_b2_and_triangle_q(capsys):
 
 
 def test_construct_missing_parameter_exits_2(capsys):
-    code, _, err = run(capsys, "construct", "pip-b2")
-    assert code == 2 and "--I" in err
+    err = usage_error(capsys, "construct", "pip-b2")
+    assert err.endswith("error: the following arguments are required: --I\n")
 
 
 @pytest.mark.parametrize("anchor", ["1", "1,x"])
@@ -59,8 +72,7 @@ def test_calls_share_no_parser_state(tmp_path, capsys):
     path = tmp_path / "b2.json"
     code, out, _ = run(capsys, "construct", "pip-b2", "--I", "2", "-o", str(path))
     assert code == 0 and out == "" and path.read_text()
-    code, out, err = run(capsys, "construct", "pip-b2")
-    assert code == 2 and out == "" and "--I" in err
+    assert "--I" in usage_error(capsys, "construct", "pip-b2")
     code, out, _ = run(capsys, "construct", "pip-b2", "--I", "2")
     assert code == 0 and out == path.read_text()
 
@@ -129,6 +141,28 @@ def test_analyze_deeply_nested_json_exits_2(tmp_path, capsys):
     assert err == "error: document: invalid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize("number, message", [
+    # the decoder's own limit on a bare number, and _parse_int's on a quoted one
+    ("1" * 5000, "error: document: invalid JSON: Exceeds the limit"),
+    ('"' + "1" * 5000 + '"', f"error: polygon.vertices[0][0][0]: a string of 5000 characters, "
+                             f"longer than the {sys.get_int_max_str_digits()} digits"),
+], ids=["bare", "quoted"])
+def test_a_number_too_long_to_read_exits_2_naming_the_field(tmp_path, capsys, number, message):
+    f = tmp_path / "long.json"
+    f.write_text('{"vertices": [[[%s, "1"], ["0", "1"]]]}' % number)
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(message) and len(err) < 200
+
+
+def test_analyze_of_a_modulus_no_table_can_hold_exits_2(tmp_path, capsys):
+    f = tmp_path / "thin.json"
+    f.write_text(dumps(polygon_to_json(Polygon([(0, 0), (1, 0), (0, F(1, 10**20))]))))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: denominator D = {10**20} is larger than")
+
+
 def test_analyze_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/p.json")
     assert code == 2 and err
@@ -157,9 +191,41 @@ VALUES = {"construct": {"--I": ["2"], "--s": ["3"], "--t": ["3"], "--anchor": ["
     (c, t, o) for (c, t), takes in TAKES.items() for o in VALUES[c] if o not in takes])
 def test_an_option_the_target_does_not_take_exits_2_naming_it(capsys, command, target, option):
     taken = [arg for o in TAKES[command, target] for arg in [o, *VALUES[command][o]]]
-    code, out, err = run(capsys, command, target, *taken, option, *VALUES[command][option])
-    assert code == 2 and out == ""
-    assert err == f"error: {command} {target} does not take {option}\n"
+    foreign = [option, *VALUES[command][option]]
+    err = usage_error(capsys, command, target, *taken, *foreign)
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(foreign)}\n")
+
+
+@pytest.mark.parametrize("command, target", TAKES)
+def test_each_target_help_lists_exactly_the_options_it_takes(capsys, command, target):
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed - {"--help", "--output"} == set(TAKES[command, target])
+
+
+def test_each_suite_flag_is_a_parameter_of_the_suite():
+    import ehrpoly.verify as v
+    flags = {suite: tuple(f"--{name.replace('_', '-')}"
+                          for name in inspect.signature(fn).parameters)
+             for suite, fn in v.SUITES.items()}
+    assert flags == {suite: TAKES["verify", suite] for suite in v.SUITES}
+    assert set().union(*flags.values()) == {
+        "--max-I", "--max-n", "--max-s", "--max-t", "--trials", "--seed"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an abbreviation of a taken option is no option: --t is not --trace
+    (("construct", "pip-b1", "--I", "2", "--t", "3"), "unrecognized arguments: --t 3"),
+    (("construct", "heptagon", "--s", "3", "--dec"), "unrecognized arguments: --dec"),
+    (("verify", "mcmullen", "--trial", "3"), "unrecognized arguments: --trial 3"),
+    # options follow the target
+    (("construct", "--I", "2", "pip-b2"), "argument family: invalid choice: '2'"),
+    (("verify", "--max-s", "2", "glue"), "argument suite: invalid choice: '2'"),
+])
+def test_options_are_spelled_out_after_the_target(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
 
 
 def test_construct_unknown_family_usage_error(capsys):

@@ -265,6 +265,17 @@ class TestEngine:
         assert mcmullen_indices(heptagon(3))[1] != 1
 
 
+def test_a_modulus_no_table_can_hold_is_a_named_error():
+    # D = 10^20 > sys.maxsize: the engine and the fit refuse it before building
+    # a table (the fit last, since without the check it counts for ever)
+    P = Polygon([(0, 0), (1, 0), (0, F(1, 10**20))])
+    R = SemiOpenRegion(P, [HalfOpenSegment((0, 0), (F(1, 2), 0))])
+    for call in (lambda: ehrhart(P), lambda: ehrhart(R), lambda: period_sequence(R),
+                 lambda: is_pip(R), lambda: ehrhart_interpolated(P)):
+        with pytest.raises(ValueError, match=f"D = {10**20} is larger"):
+            call()
+
+
 class TestIsPip:
     def test_settles_a_polygon_from_its_edges(self, monkeypatch):
         # D = 1,005,973: the c1 table would be a million entries per edge
@@ -375,6 +386,19 @@ class TestIntegerTables:
         with pytest.raises(ValueError, match="2 entries"):
             EhrhartQuasiPolynomial(2, (F(1),), (F(1),), (F(1),))
 
+    def test_accessors_take_a_coefficient_index_and_an_integer_n(self):
+        q = ehrhart(glued(2, 3))
+        assert q.coefficient(2, -1) == q.coefficient(2, 5) == q.c2[5]
+        assert q.evaluate(-1) == q.c2[5] - q.c1[5] + q.c0[5]
+        for i in (-1, 3, True, 1.0):
+            with pytest.raises(ValueError, match=f"i must be 0, 1 or 2, got {i!r}"):
+                q.coefficient(i, 1)
+        for n in (1.5, True, "1"):
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+                q.coefficient(0, n)
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+                q.evaluate(n)
+
     def test_engine_and_json_make_no_fractions(self):
         pentagon = Polygon([(0, 0), (F(4001, 997), F(1, 997)), (6, F(2995, 997)),
                             (F(3, 997), 5), (F(-1000, 997), 2)])
@@ -403,6 +427,10 @@ class TestMinimalPeriod:
     def test_non_divisor_shifts_do_not_count(self):
         # period must divide the modulus: [1,2,1,2,1,2] has period 2, not 3
         assert minimal_period((F(1), F(2), F(1), F(2), F(1), F(2))) == 2
+
+    def test_empty_sequence_is_a_named_error(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            minimal_period([])
 
     def test_integer_tables(self):
         assert minimal_period((5, 5, 5, 5, 5, 5)) == 1
