@@ -45,7 +45,7 @@ for s, t in [(2, 3), (4, 5), (5, 2)]:
     print(f"glued({s},{t}): period sequence ({ps.s2}, {ps.s1}, {ps.s0}),"
           f" quasi-period {ps.quasi_period} = lcm({s},{t})"
           f" = {math.lcm(s, t)}")
-    assert glued_count_identity(s, t, n_max=2 * math.lcm(s, t))
+    assert glued_count_identity(s, t)
 print()
 print("The glued count satisfies count(P) = count(H) + count(Q) - (n+1):")
 print("the shared edge is a unit lattice segment counted by both pieces.")

@@ -204,19 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze a polygon JSON file")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, parser=p)
     targets = p.add_subparsers(dest="family", required=True)
     for family, options in _FAMILY_OPTIONS.items():
         f = targets.add_parser(family, allow_abbrev=False)
         for name in options:
             f.add_argument(f"--{name}", **_OPTION_ARGUMENTS[name])
         f.add_argument("-o", "--output", default=None)
+        f.set_defaults(parser=f)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     targets = p.add_subparsers(dest="suite", required=True)
     for name, suite in sorted(verify.SUITES.items()):
         # the suite's signature is the one list of its bounds and their defaults
@@ -225,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             f.add_argument(f"--{param.name.replace('_', '-')}", dest=param.name, type=int,
                            help=f"default {param.default}")
         f.add_argument("-o", "--output", default=None)
+        f.set_defaults(parser=f)
 
     p = sub.add_parser("search", help="search PIPs for Scott counterexamples")
     p.add_argument("--seed", type=int, default=1)
@@ -232,18 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-denominator", dest="max_denominator", type=int, default=4)
     p.add_argument("--coord-bound", dest="coord_bound", type=int, default=4)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, parser=p)
 
     p = sub.add_parser("render", help="render polygon/region/trace JSON to SVG")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=cmd_render, parser=p)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    # argparse hands a subcommand's leftover arguments up to the root parser;
+    # the subcommand, family or suite parser that was given them reports them
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

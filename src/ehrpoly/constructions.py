@@ -14,7 +14,7 @@ Every closed-form vertex list produced here is re-derived by actually
 running the transformation chain, and a ConstructionMismatch is raised if
 the two disagree, so the formulas cannot drift from the geometry.  The
 heptagon's named points are written once (`_heptagon_points`), and the
-seed and every count parameter (I, s, t, n_max, trials, bounds) pass
+seed and every count parameter (I, s, t, trials, bounds) pass
 `_require_int`.
 """
 from __future__ import annotations
@@ -74,12 +74,10 @@ class ConstructionTrace:
     def max_denominator(self) -> int:
         return max(region_denominator(s.region) for s in self.steps)
 
-    def counts_preserved(self, n_max: int | None = None) -> bool:
-        """Every step has the same lattice count for all n up to the bound."""
-        if n_max is None:
-            n_max = 3 * self.max_denominator()
-        _require_int("n_max", n_max, 1)
-        for n in range(1, n_max + 1):
+    def counts_preserved(self) -> bool:
+        """Every step has the same lattice count for all n up to
+        3 * `max_denominator()`."""
+        for n in range(1, 3 * self.max_denominator() + 1):
             ref = region_count(self.steps[0].region, n)
             if any(region_count(s.region, n) != ref for s in self.steps[1:]):
                 return False
@@ -299,18 +297,15 @@ def glued(s: int, t: int) -> Polygon:
     return P
 
 
-def glued_count_identity(s: int, t: int, n_max: int | None = None) -> bool:
-    """count(H ∪ Q) = count(H) + count(Q) - (n + 1), the shared edge being
-    a unit lattice segment."""
+def glued_count_identity(s: int, t: int) -> bool:
+    """count(H ∪ Q) = count(H) + count(Q) - (n + 1) for n up to 3 lcm(s, t),
+    the shared edge being a unit lattice segment."""
     H = heptagon(s)
     Q = triangle_q(heptagon_anchor(s), t)
     P = glued(s, t)
-    if n_max is None:
-        n_max = 3 * math.lcm(s, t)
-    _require_int("n_max", n_max, 1)
     return all(
         lattice_count(P, n) == lattice_count(H, n) + lattice_count(Q, n) - (n + 1)
-        for n in range(1, n_max + 1))
+        for n in range(1, 3 * math.lcm(s, t) + 1))
 
 
 # ---------------------------------------------------------------------------

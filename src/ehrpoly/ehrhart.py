@@ -66,7 +66,8 @@ class EhrhartQuasiPolynomial:
     in 0..modulus-1 over one denominator, divided by the gcd of all of
     them, so equal quasi-polynomials have equal tuples and hash alike.
     `c2`, `c1` and `c0` are the same tables as Fractions, built when first
-    read.  The constructor takes tables of Fractions (or ints).
+    read.  The constructor takes tables of anything `Fraction` takes, as
+    `point` does: 0.5, "1/2" and Fraction(1, 2) give the same table.
     """
 
     modulus: int
@@ -78,7 +79,7 @@ class EhrhartQuasiPolynomial:
 
     def __init__(self, modulus: int, c2, c1, c0):
         _require_int("modulus", modulus, 1)
-        tables = (c2, c1, c0)
+        tables = [[Fraction(x) for x in t] for t in (c2, c1, c0)]
         if any(len(t) != modulus for t in tables):
             raise ValueError(f"coefficient tables must have {modulus} entries, "
                              f"got {tuple(len(t) for t in tables)}")
@@ -345,32 +346,28 @@ def gf_series_check(P: Polygon, t: int, N: int) -> bool:
 # oracle
 
 
-def ehrhart_interpolated(R, extra_checks: int = 1) -> EhrhartQuasiPolynomial:
-    """Oracle: interpolate the Ehrhart quasi-polynomial from counts alone.
+def ehrhart_interpolated(R) -> EhrhartQuasiPolynomial:
+    """Oracle: interpolate the Ehrhart quasi-polynomial from counts alone,
+    through the counts at n = 1..4D.
 
     Counts at n = r + kD for k = 0, 1, 2 determine each residue class; the
-    count at k = 3 (and beyond, if extra_checks > 1) must match or a
-    VerificationFailure is raised.  An extra_checks below 1 would leave
-    the tables unchecked, so it raises ValueError.
+    count at k = 3 must match or a VerificationFailure is raised.
     """
-    _require_int("extra_checks", extra_checks, 1)
     D = region_denominator(R)
     _require_table_size(D)
-    counts = [0] + [region_count(R, n) for n in range(1, (3 + extra_checks) * D + 1)]
+    counts = [0] + [region_count(R, n) for n in range(1, 4 * D + 1)]
     den = 2 * D * D
     a2, a1, a0 = [0] * D, [0] * D, [0] * D
     for r in range(1, D + 1):
-        v0, v1, v2 = counts[r], counts[r + D], counts[r + 2 * D]
-        # the quadratic through them, in forward differences: value
+        v0, v1, v2, v3 = counts[r:r + 3 * D + 1:D]
+        # the quadratic through v0, v1, v2, in forward differences: value
         # v0 + k*d1 + k(k-1)/2 * d2 at n = r + kD
         d1, d2 = v1 - v0, v2 - 2 * v1 + v0
-        for k in range(3, 3 + extra_checks):
-            n = r + k * D
-            got = v0 + k * d1 + k * (k - 1) // 2 * d2
-            if got != counts[n]:
-                raise VerificationFailure(
-                    f"interpolated value {got} != count {counts[n]} at n={n} "
-                    f"(residue {r % D} mod {D})")
+        got = v0 + 3 * d1 + 3 * d2
+        if got != v3:
+            raise VerificationFailure(
+                f"interpolated value {got} != count {v3} at n={r + 3 * D} "
+                f"(residue {r % D} mod {D})")
         # substituting k = (n - r)/D gives coefficients over 2D^2
         idx = r % D
         a2[idx] = d2

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -608,7 +609,7 @@ def interior_count(P: Polygon, n: int) -> int:
 
 
 class IntegralHull:
-    """Convex hull of P ∩ Z^2; may be 2-, 1-, 0-dimensional or empty.
+    """Convex hull of lattice points, such as P ∩ Z^2; may be 2-, 1-, 0-dimensional or empty.
 
     `polygon` is set only when the hull is 2-dimensional; `vertices` always
     holds the extreme points (possibly fewer than 3).
@@ -616,26 +617,14 @@ class IntegralHull:
 
     __slots__ = ("dim", "vertices", "polygon")
 
-    def __init__(self, lattice_pts: Sequence[tuple[int, int]]):
-        # the hull of a row's points is the segment between its two ends,
-        # so only the leftmost and rightmost point of each row can be a
-        # vertex; the chain runs on those, as ints
-        left: dict[int, int] = {}
-        right: dict[int, int] = {}
-        for x, y in lattice_pts:
-            if x < left.get(y, x + 1):
-                left[y] = x
-            if x > right.get(y, x - 1):
-                right[y] = x
-        pts = sorted({(x, y) for y, x in left.items()}
-                     | {(x, y) for y, x in right.items()})
+    def __init__(self, lattice_pts: Iterable[tuple[int, int]]):
+        pts = sorted(set(lattice_pts))
         verts = _monotone_chain(pts)
         if len(verts) >= 3:
             self.dim = 2
             self.polygon: Polygon | None = Polygon._from_scaled(1, verts)
             self.vertices = self.polygon.vertices
         else:
-            # the lexicographic ends of P ∩ Z^2 are row ends, so they survive
             ends = pts if len(pts) < 2 else [pts[0], pts[-1]]
             self.dim = len(ends) - 1
             self.polygon = None
@@ -652,7 +641,10 @@ class IntegralHull:
 
 
 def integral_hull(P: Polygon) -> IntegralHull:
-    return IntegralHull(lattice_points(P, 1))
+    """The hull of P ∩ Z^2, from the two ends of each row that `lattice_points`
+    lists: the hull of a row is the segment between them."""
+    rows = (list(row) for _, row in groupby(lattice_points(P, 1), itemgetter(1)))
+    return IntegralHull(p for row in rows for p in (row[0], row[-1]))
 
 
 def _union_hull(pieces: Sequence[Polygon]) -> Polygon | None:

@@ -167,8 +167,14 @@ class SemiOpenRegion:
 def region(closed, removed=()) -> SemiOpenRegion:
     """Convenience constructor: vertices + (open, closed) endpoint pairs."""
     P = closed if isinstance(closed, Polygon) else Polygon(closed)
-    segs = tuple(s if isinstance(s, HalfOpenSegment) else HalfOpenSegment(s[0], s[1])
-                 for s in removed)
+    segs = []
+    for i, s in enumerate(removed):
+        if isinstance(s, (tuple, list)) and len(s) == 2:
+            s = HalfOpenSegment(*s)
+        elif not isinstance(s, HalfOpenSegment):
+            raise InvalidRegion(f"removed[{i}] must be a HalfOpenSegment or an "
+                                f"(open, closed) pair, got {s!r}")
+        segs.append(s)
     return SemiOpenRegion(P, segs)
 
 

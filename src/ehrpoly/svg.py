@@ -29,16 +29,16 @@ INTERIOR_PT = "#1a1a1a"
 BOUNDARY_PT = "#ffffff"
 
 
-def _num(n: int, d: int, places: int = 3) -> str:
-    """Deterministic decimal rendering of n / d, for d > 0, half-up at `places`."""
+def _num(n: int, d: int) -> str:
+    """Deterministic decimal rendering of n / d, for d > 0, half-up at three places."""
     sign = "-" if n < 0 else ""
-    q, r = divmod(abs(n) * 10 ** places, d)
+    q, r = divmod(abs(n) * 1000, d)
     if 2 * r >= d:
         q += 1
-    whole, frac = divmod(q, 10 ** places)
+    whole, frac = divmod(q, 1000)
     if frac == 0:
         return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(places).rstrip('0')}"
+    return f"{sign}{whole}.{str(frac).zfill(3).rstrip('0')}"
 
 
 class Panel:

@@ -176,18 +176,20 @@ def _map_scaled(m: AffineUnimodular, Q: int, V) -> list[tuple[int, int]]:
             for x, y in V]
 
 
-def _conjugate_by_translation(m: AffineUnimodular, u: tuple[int, int]) -> AffineUnimodular:
-    """p |-> m(p - u) + u."""
-    ux, uy = u
-    return AffineUnimodular(
-        m.m00, m.m01, m.m10, m.m11,
-        m.tx + ux - (m.m00 * ux + m.m01 * uy),
-        m.ty + uy - (m.m10 * ux + m.m11 * uy))
+def _anchored_skew(u: tuple[int, int], r: Vector, sign: str) -> PiecewiseUnimodularMap:
+    """skew_plus (sign "+") or skew_minus ("-") of r, moved to fix the line
+    through the lattice point u: its shear M, or M's inverse, becomes
+    x |-> M x + u - M u."""
+    M = skew(r) if sign == "+" else skew(r).inverse()
+    mx, my = _map_scaled(M, 1, [u])[0]
+    shear = AffineUnimodular(M.m00, M.m01, M.m10, M.m11, u[0] - mx, u[1] - my)
+    sides = (shear, IDENTITY) if sign == "+" else (IDENTITY, shear)
+    return PiecewiseUnimodularMap(u, primitive(r), *sides)
 
 
 def skew_plus(r: Vector) -> PiecewiseUnimodularMap:
     """skew(r) where det(r, x) >= 0, identity elsewhere."""
-    return PiecewiseUnimodularMap((0, 0), primitive(r), skew(r), IDENTITY)
+    return _anchored_skew((0, 0), r, "+")
 
 
 def skew_minus(r: Vector) -> PiecewiseUnimodularMap:
@@ -197,7 +199,7 @@ def skew_minus(r: Vector) -> PiecewiseUnimodularMap:
     inverse applies the inverse shear there and the identity on the other
     side.
     """
-    return PiecewiseUnimodularMap((0, 0), primitive(r), IDENTITY, skew(r).inverse())
+    return _anchored_skew((0, 0), r, "-")
 
 
 def affine_skew(u, w, sign: str) -> PiecewiseUnimodularMap:
@@ -213,13 +215,7 @@ def affine_skew(u, w, sign: str) -> PiecewiseUnimodularMap:
         raise NonLatticeAnchor(f"anchor {u} is not a lattice point")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    r = (w[0] - u[0], w[1] - u[1])
-    base = skew_plus(r) if sign == "+" else skew_minus(r)
-    ui = (int(u[0]), int(u[1]))
-    return PiecewiseUnimodularMap(
-        u, base.direction,
-        _conjugate_by_translation(base.positive_side_map, ui),
-        _conjugate_by_translation(base.negative_side_map, ui))
+    return _anchored_skew((int(u[0]), int(u[1])), (w[0] - u[0], w[1] - u[1]), sign)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +311,18 @@ def _reassemble(mapped: list[tuple[Polygon, list[HalfOpenSegment]]],
     return SemiOpenRegion(hull, _merge_removed(survivors))
 
 
+def _require_map(name: str, m) -> None:
+    if not isinstance(m, PiecewiseUnimodularMap):
+        raise ValueError(f"{name} must be a PiecewiseUnimodularMap, got {type(m).__name__}")
+
+
 def apply_piecewise(m: PiecewiseUnimodularMap, R):
     """Image of a polygon or semi-open region under a one-line piecewise map.
 
     Returns a SemiOpenRegion when the image is convex (a closed Polygon is
     just a region with nothing removed), otherwise a RegionUnion.
     """
+    _require_map("m", m)
     return apply_disjoint([m], R)
 
 
@@ -341,6 +343,8 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
     the composition of the individual maps.  When a single cut splits the
     region, its chord is the seam of a non-convex image.
     """
+    for i, m in enumerate(maps):
+        _require_map(f"maps[{i}]", m)
     if isinstance(R, Polygon):
         R = SemiOpenRegion(R)
     if not isinstance(R, SemiOpenRegion):

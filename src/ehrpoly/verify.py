@@ -176,7 +176,7 @@ def verify_transforms(max_I: int = 5) -> dict:
         trace = cons.pip_b1(I)
         bound = 3 * trace.max_denominator()
         s.check(f"pip_b1({I}) chain lattice-preserving up to n={bound}",
-                trace.counts_preserved(bound))
+                trace.counts_preserved())
     return s.report()
 
 

@@ -22,13 +22,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def usage_error(capsys, *argv) -> str:
-    """The stderr of a call that argparse refuses: it exits 2 and writes
-    nothing to stdout."""
+def usage_error(capsys, *argv, prog: str) -> str:
+    """The stderr of a call that argparse refuses: it exits 2, writes
+    nothing to stdout, and the usage line and error name `prog`."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: " in out.err
     return out.err
 
 
@@ -53,7 +54,7 @@ def test_construct_pip_b2_and_triangle_q(capsys):
 
 
 def test_construct_missing_parameter_exits_2(capsys):
-    err = usage_error(capsys, "construct", "pip-b2")
+    err = usage_error(capsys, "construct", "pip-b2", prog="ehrpoly construct pip-b2")
     assert err.endswith("error: the following arguments are required: --I\n")
 
 
@@ -72,7 +73,7 @@ def test_calls_share_no_parser_state(tmp_path, capsys):
     path = tmp_path / "b2.json"
     code, out, _ = run(capsys, "construct", "pip-b2", "--I", "2", "-o", str(path))
     assert code == 0 and out == "" and path.read_text()
-    assert "--I" in usage_error(capsys, "construct", "pip-b2")
+    assert "--I" in usage_error(capsys, "construct", "pip-b2", prog="ehrpoly construct pip-b2")
     code, out, _ = run(capsys, "construct", "pip-b2", "--I", "2")
     assert code == 0 and out == path.read_text()
 
@@ -192,7 +193,8 @@ VALUES = {"construct": {"--I": ["2"], "--s": ["3"], "--t": ["3"], "--anchor": ["
 def test_an_option_the_target_does_not_take_exits_2_naming_it(capsys, command, target, option):
     taken = [arg for o in TAKES[command, target] for arg in [o, *VALUES[command][o]]]
     foreign = [option, *VALUES[command][option]]
-    err = usage_error(capsys, command, target, *taken, *foreign)
+    err = usage_error(capsys, command, target, *taken, *foreign,
+                      prog=f"ehrpoly {command} {target}")
     assert err.endswith(f"error: unrecognized arguments: {' '.join(foreign)}\n")
 
 
@@ -215,17 +217,30 @@ def test_each_suite_flag_is_a_parameter_of_the_suite():
         "--max-I", "--max-n", "--max-s", "--max-t", "--trials", "--seed"}
 
 
-@pytest.mark.parametrize("argv, message", [
+@pytest.mark.parametrize("argv, prog, message", [
     # an abbreviation of a taken option is no option: --t is not --trace
-    (("construct", "pip-b1", "--I", "2", "--t", "3"), "unrecognized arguments: --t 3"),
-    (("construct", "heptagon", "--s", "3", "--dec"), "unrecognized arguments: --dec"),
-    (("verify", "mcmullen", "--trial", "3"), "unrecognized arguments: --trial 3"),
+    (("construct", "pip-b1", "--I", "2", "--t", "3"), "ehrpoly construct pip-b1",
+     "unrecognized arguments: --t 3"),
+    (("construct", "heptagon", "--s", "3", "--dec"), "ehrpoly construct heptagon",
+     "unrecognized arguments: --dec"),
+    (("verify", "mcmullen", "--trial", "3"), "ehrpoly verify mcmullen",
+     "unrecognized arguments: --trial 3"),
     # options follow the target
-    (("construct", "--I", "2", "pip-b2"), "argument family: invalid choice: '2'"),
-    (("verify", "--max-s", "2", "glue"), "argument suite: invalid choice: '2'"),
+    (("construct", "--I", "2", "pip-b2"), "ehrpoly construct", "argument family: invalid choice: '2'"),
+    (("verify", "--max-s", "2", "glue"), "ehrpoly verify", "argument suite: invalid choice: '2'"),
 ])
-def test_options_are_spelled_out_after_the_target(capsys, argv, message):
-    assert message in usage_error(capsys, *argv)
+def test_options_are_spelled_out_after_the_target(capsys, argv, prog, message):
+    assert message in usage_error(capsys, *argv, prog=prog)
+
+
+@pytest.mark.parametrize("argv, prog, foreign", [
+    (("construct", "pip-b2", "--trace", "--I", "2"), "ehrpoly construct pip-b2", "--trace"),
+    (("search", "--seed", "3", "extra"), "ehrpoly search", "extra"),
+    (("analyze", "in.json", "out.json"), "ehrpoly analyze", "out.json"),
+])
+def test_a_foreign_argument_is_refused_by_the_parser_it_was_given_to(capsys, argv, prog, foreign):
+    err = usage_error(capsys, *argv, prog=prog)
+    assert err.endswith(f"error: unrecognized arguments: {foreign}\n")
 
 
 def test_construct_unknown_family_usage_error(capsys):

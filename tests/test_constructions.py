@@ -177,7 +177,7 @@ class TestGlued:
 
     def test_count_identity(self):
         assert glued_count_identity(2, 3)
-        assert glued_count_identity(3, 2, n_max=12)
+        assert glued_count_identity(3, 2)
 
     def test_components_share_unit_edge(self):
         s, t = 3, 2

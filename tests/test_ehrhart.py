@@ -114,20 +114,11 @@ class TestInterpolation:
     def test_fourth_sample_is_checked(self, monkeypatch):
         import sys
         eh = sys.modules["ehrpoly.ehrhart"]
-        from ehrpoly.ehrhart import VerificationFailure
         real = eh.region_count
-        # on the unit square (D = 1) only extra_checks=2 counts n = 5
+        # on the unit square (D = 1) the counts stop at n = 4D = 4
         monkeypatch.setattr(eh, "region_count",
                             lambda R, n: real(R, n) + (n >= 5))
-        with pytest.raises(VerificationFailure):
-            eh.ehrhart_interpolated(SQUARE, extra_checks=2)
         assert eh.ehrhart_interpolated(SQUARE) == ehrhart_interpolated(SQUARE)
-
-    @pytest.mark.parametrize("extra_checks", [0, -1, 1.5, "2"])
-    def test_unchecked_tables_are_refused(self, extra_checks):
-        # 0 would return tables no count has checked, -1 used to index out
-        with pytest.raises(ValueError, match="extra_checks"):
-            ehrhart_interpolated(SQUARE, extra_checks=extra_checks)
 
     def test_period_sequence_is_computed_once(self, monkeypatch):
         import sys
@@ -385,6 +376,11 @@ class TestIntegerTables:
         assert q.evaluate(3) == F(1, 2) * 9 + F(3, 4) * 3 and q.coefficient(1, 4) == 1
         with pytest.raises(ValueError, match="2 entries"):
             EhrhartQuasiPolynomial(2, (F(1),), (F(1),), (F(1),))
+
+    @pytest.mark.parametrize("half", [0.5, "1/2"])
+    def test_constructor_takes_what_fraction_takes(self, half):
+        assert (EhrhartQuasiPolynomial(1, (half,), (0,), (1,))
+                == EhrhartQuasiPolynomial(1, (F(1, 2),), (0,), (1,)))
 
     def test_accessors_take_a_coefficient_index_and_an_integer_n(self):
         q = ehrhart(glued(2, 3))

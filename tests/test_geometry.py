@@ -595,8 +595,7 @@ def _count_parameters():
     """(entry point, parameter, least value, call passing the value) for
     every count parameter of the package."""
     from ehrpoly import constructions as cons, verify
-    from ehrpoly.ehrhart import (
-        EhrhartQuasiPolynomial, ehrhart_interpolated, gf_series_check, series_coefficients)
+    from ehrpoly.ehrhart import EhrhartQuasiPolynomial, gf_series_check, series_coefficients
     from ehrpoly.regions import region, region_count, region_count_naive
     from ehrpoly.sampling import random_polygon, trial_rng
     from ehrpoly.unimodular import iterate, skew_plus
@@ -627,8 +626,6 @@ def _count_parameters():
         ("triangle_q", "t", 1, lambda v: cons.triangle_q((0, 0), v)),
         ("glued", "s", 2, lambda v: cons.glued(v, 2)),
         ("glued", "t", 2, lambda v: cons.glued(2, v)),
-        ("glued_count_identity", "n_max", 1, lambda v: cons.glued_count_identity(2, 2, v)),
-        ("counts_preserved", "n_max", 1, lambda v: cons.pip_b1(1).counts_preserved(v)),
         ("scott_pip_search", "trials", 0, lambda v: cons.scott_pip_search(1, v)),
         ("scott_pip_search", "max_denominator", 1,
          lambda v: cons.scott_pip_search(1, 1, max_denominator=v)),
@@ -639,7 +636,6 @@ def _count_parameters():
         ("random_polygon", "max_denominator", 1, lambda v: random_polygon(trial_rng(1, 0), v, 3)),
         ("random_polygon", "coord_bound", 1, lambda v: random_polygon(trial_rng(1, 0), 2, v)),
         ("EhrhartQuasiPolynomial", "modulus", 1, lambda v: EhrhartQuasiPolynomial(v, (), (), ())),
-        ("ehrhart_interpolated", "extra_checks", 1, lambda v: ehrhart_interpolated(SQUARE, v)),
         ("series_coefficients", "t", 1, lambda v: series_coefficients(v, 5)),
         ("series_coefficients", "N", 0, lambda v: series_coefficients(2, v)),
         ("gf_series_check", "t", 1, lambda v: gf_series_check(SQUARE, v, 9)),

@@ -84,6 +84,11 @@ class TestSemiOpenRegion:
         with pytest.raises(InvalidRegion):
             region(SQUARE.vertices, [((0, 0), (1, 1))])  # diagonal
 
+    @pytest.mark.parametrize("entry", [((0, 0), (1, 0), (1, 1)), ((0, 0),), 7])
+    def test_a_removed_entry_that_is_not_a_pair_is_named(self, entry):
+        with pytest.raises(InvalidRegion, match=r"^removed\[1\] must be a HalfOpenSegment"):
+            region(SQUARE.vertices, [((0, 0), (F(1, 2), 0)), entry])
+
     def test_removed_may_be_proper_subsegment_of_edge(self):
         R = region(SQUARE.vertices, [((F(1, 4), 0), (F(3, 4), 0))])
         # at n=4 the removal dilates to (1, 3], excluding (2,0) and (3,0)

@@ -249,6 +249,15 @@ class TestApplyDisjoint:
         with pytest.raises(InvalidRegion):
             apply_disjoint([skew_plus((1, 0))], union)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda m: apply_piecewise(m, SQUARE), "m"),
+        (lambda m: apply_disjoint([skew_plus((0, -1)), m], SQUARE), r"maps\[1\]"),
+        (lambda m: iterate(m, 2, SQUARE), "m"),
+    ], ids=["apply_piecewise", "apply_disjoint", "iterate"])
+    def test_what_is_not_a_map_is_named_with_its_type(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a PiecewiseUnimodularMap, got int$"):
+            call(5)
+
     def test_single_map_matches_apply_piecewise(self):
         T = region([(0, 0), (1, 1), (-1, 0)], [((0, 0), (1, 1))])
         assert apply_disjoint([skew_plus((0, -1))], T) == apply_piecewise(skew_plus((0, -1)), T)
