@@ -245,10 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # argparse hands a subcommand's leftover arguments up to the root parser;
-    # the subcommand, family or suite parser that was given them reports them
+    # the parser that was given them reports them: the root those before the
+    # subcommand token, else the subcommand, family or suite parser
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, extras = build_parser().parse_known_args(argv)
     if extras:
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        lead = argv[:argv.index(args.command)]
+        (build_parser() if lead else args.parser).error(
+            f"unrecognized arguments: {' '.join(lead or extras)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

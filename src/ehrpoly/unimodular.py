@@ -23,8 +23,10 @@ vertices and segment ends, one map formula (`_map_scaled`) moves them,
 `_scaled_hull` builds each cut and mapped cell, and `_union_hull` glues
 them.  Removed segments and the seam of a non-convex image are cut, mapped
 and chained on their integer ends over their denominator the same way.
-The `apply` methods on a single point scale it and use the same two
-formulas.
+`PiecewiseUnimodularMap._apply_scaled` maps a batch of integer points over
+one denominator by the same two formulas: `verify transforms` runs its
+direction checks through it and `_map_scaled`, and the `apply` methods scale
+a single point and use them too.
 """
 from __future__ import annotations
 
@@ -167,7 +169,11 @@ class PiecewiseUnimodularMap:
 
     def apply(self, p: Point) -> Point:
         Q, V = _scale([point(*p)])
-        return _unscale(Q, _map_scaled(self.side_map(self._side(Q, V[0])), Q, V)[0])
+        return _unscale(Q, self._apply_scaled(Q, V)[0])
+
+    def _apply_scaled(self, Q: int, V) -> list[tuple[int, int]]:
+        """The images of the points V / Q, for integer pairs V, again over Q."""
+        return [_map_scaled(self.side_map(self._side(Q, p)), Q, (p,))[0] for p in V]
 
 
 def _map_scaled(m: AffineUnimodular, Q: int, V) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from . import geometry as geo
 from .ehrhart import ehrhart, ehrhart_interpolated, is_pip, mcmullen_indices, period_sequence
 from .jsonio import polygon_to_json
 from .sampling import polygon_corpus
-from .unimodular import skew, skew_minus, skew_plus
+from .unimodular import _map_scaled, skew, skew_minus, skew_plus
 
 
 class _Suite:
@@ -150,28 +150,31 @@ def verify_mcmullen(trials: int = 100, seed: int = 2024) -> dict:
 
 
 def verify_transforms(max_I: int = 5) -> dict:
-    """Skew transform algebra and lattice preservation along the chains."""
+    """Skew transform algebra and lattice preservation along the chains.
+
+    The direction checks map integer points over one denominator each: the
+    grid (x/3, y/2) over 6, the line points k r_p / 7 over 7, and r_p and
+    the origin over 1.
+    """
     geo._require_int("max_I", max_I, 1)
     s = _Suite("transforms")
     dirs = [(1, 0), (0, -1), (2, 3), (-3, 5), (Fraction(3, 2), Fraction(3, 4)),
             (-1, -1), (7, -2)]
-    grid = [(Fraction(x, 3), Fraction(y, 2)) for x in range(-6, 7, 2)
-            for y in range(-4, 5, 2)]
+    grid = [(2 * x, 3 * y) for x in range(-6, 7, 2) for y in range(-4, 5, 2)]
     for r in dirs:
         U = skew(r)
         s.check(f"skew{r} determinant 1", U.det == 1)
         rp = geo.primitive(r)
-        s.check(f"skew{r} fixes its line",
-                U.apply(rp) == geo.point(*rp) and U.apply((0, 0)) == geo.point(0, 0))
+        s.check(f"skew{r} fixes its line", _map_scaled(U, 1, [rp, (0, 0)]) == [rp, (0, 0)])
         s.check(f"skew{r} = skew(primitive)", U == skew(rp))
         plus, minus = skew_plus(r), skew_minus(r)
         neg_plus = skew_plus((-r[0], -r[1]))
         s.check(f"skew_minus{r} inverts skew_plus(-r)",
-                all(minus.apply(neg_plus.apply(p)) == p for p in grid))
-        line_pts = [geo.vec_scale(geo.point(*rp), Fraction(k, 7)) for k in range(-10, 10)]
+                minus._apply_scaled(6, neg_plus._apply_scaled(6, grid)) == grid)
+        line_pts = [(k * rp[0], k * rp[1]) for k in range(-10, 10)]
         s.check(f"U^+{r} continuous across its line",
-                all(plus.positive_side_map.apply(p) == plus.negative_side_map.apply(p)
-                    for p in line_pts))
+                _map_scaled(plus.positive_side_map, 7, line_pts)
+                == _map_scaled(plus.negative_side_map, 7, line_pts))
     for I in range(1, max_I + 1):
         trace = cons.pip_b1(I)
         bound = 3 * trace.max_denominator()

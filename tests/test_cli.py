@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ehrpoly import Polygon
+from ehrpoly import AffineUnimodular, PiecewiseUnimodularMap, Polygon, skew_plus
 from ehrpoly.cli import build_parser, main
 from ehrpoly.jsonio import dumps, polygon_to_json
 
@@ -237,6 +237,8 @@ def test_options_are_spelled_out_after_the_target(capsys, argv, prog, message):
     (("construct", "pip-b2", "--trace", "--I", "2"), "ehrpoly construct pip-b2", "--trace"),
     (("search", "--seed", "3", "extra"), "ehrpoly search", "extra"),
     (("analyze", "in.json", "out.json"), "ehrpoly analyze", "out.json"),
+    # before the subcommand token, only the root parser has seen it
+    (("--foo", "search", "--trials", "1", "extra"), "ehrpoly", "--foo"),
 ])
 def test_a_foreign_argument_is_refused_by_the_parser_it_was_given_to(capsys, argv, prog, foreign):
     err = usage_error(capsys, *argv, prog=prog)
@@ -292,6 +294,36 @@ def test_verify_transforms_report_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "transforms", "--max-I", "3")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
         "86cd2fb144ae7240a35d4f8272b0254ef9796011cb9e64711c50a5112522c85c"
+
+
+def transforms_checks(capsys, marker: str) -> list[dict]:
+    """The checks of `verify transforms --max-I 1` whose name holds
+    `marker`, from a run that must fail."""
+    code, out, _ = run(capsys, "verify", "transforms", "--max-I", "1")
+    checks = [c for c in json.loads(out)["checks"] if marker in c["name"]]
+    assert code == 1 and len(checks) == 7
+    return checks
+
+
+def test_verify_transforms_sees_a_wrong_inverse(capsys, monkeypatch):
+    import ehrpoly.verify as v
+    monkeypatch.setattr(v, "skew_minus", skew_plus)
+    assert not any(c["passed"] for c in transforms_checks(capsys, "inverts skew_plus(-r)"))
+
+
+def test_verify_transforms_sees_side_maps_that_disagree_on_the_line(capsys, monkeypatch):
+    import ehrpoly.verify as v
+    turn = AffineUnimodular(0, -1, 1, 0)  # fixes only the origin, the anchor of skew_plus
+
+    def torn_skew_plus(r):
+        m = skew_plus(r)
+        with pytest.raises(ValueError, match="disagree"):
+            PiecewiseUnimodularMap(m.anchor, m.direction, m.positive_side_map, turn)
+        object.__setattr__(m, "negative_side_map", turn)
+        return m
+
+    monkeypatch.setattr(v, "skew_plus", torn_skew_plus)
+    assert not any(c["passed"] for c in transforms_checks(capsys, "continuous across its line"))
 
 
 def test_verify_mcmullen_passes(capsys):

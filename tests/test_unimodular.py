@@ -386,6 +386,45 @@ def test_side_maps_must_agree_at_the_anchor_and_one_step_along_the_line(case):
             PiecewiseUnimodularMap(A, r, first, second)
 
 
+@st.composite
+def scaled_points_and_maps(draw):
+    """A skew_plus, skew_minus or affine_skew of a rational direction, maybe
+    non-primitive, at a lattice anchor; a denominator Q; and integer points
+    V whose points V / Q lie on the line and a few steps of 1/Q to either
+    side of it, with some anywhere."""
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    r = draw(st.one_of(st.just((F(3, 2), F(3, 4))),
+                       st.tuples(coord, coord).filter(lambda r: r != (0, 0))))
+    kind = draw(st.sampled_from([skew_plus, skew_minus, affine_skew]))
+    if kind is affine_skew:
+        a = draw(st.tuples(small, small))
+        m = affine_skew(a, (a[0] + r[0], a[1] + r[1]), draw(st.sampled_from("+-")))
+    else:
+        m, a = kind(r), (0, 0)
+    Q, (u, v) = draw(st.integers(1, 12)), m.direction
+    steps = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3)), max_size=8))
+    V = [(Q * a[0] + j * u - e * v, Q * a[1] + j * v + e * u)
+         for j, e in [(0, -1), (0, 0), (0, 1)] + steps]
+    V += draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=4))
+    return m, Q, V
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_points_and_maps())
+def test_apply_scaled_matches_the_map_point_by_point(case):
+    m, Q, V = case
+    pts = [(F(x, Q), F(y, Q)) for x, y in V]
+    assert {m.side(p) for p in pts[:3]} == {-1, 0, 1}
+    # the oracle: the side and the image in Fractions, one point at a time
+    a, (u, v) = m.anchor, m.direction
+    expected = []
+    for x, y in pts:
+        f = m.side_map(u * (y - a[1]) - v * (x - a[0]))
+        expected.append((f.m00 * x + f.m01 * y + f.tx, f.m10 * x + f.m11 * y + f.ty))
+    got = [(F(x, Q), F(y, Q)) for x, y in m._apply_scaled(Q, V)]
+    assert got == expected == [m.apply(p) for p in pts]
+
+
 def test_construction_chains_make_no_fractions():
     # count the Fractions made while iterate or apply_disjoint is running
     entered, made, _ = fractions_made({iterate, apply_disjoint},
