@@ -59,7 +59,7 @@ def cmd_analyze(args) -> int:
     ps = q.period_sequence()
     b = boundary_count(P, 1)
     I = lattice_count(P, 1) - b
-    applicable, holds = cons.integral_hull_proposition_check(P, I=I, b=b)
+    applicable, holds = cons.integral_hull_proposition_check(P)
     A = area(P)
     out = {
         "polygon": jsonio.polygon_to_json(P),
@@ -204,20 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze a polygon JSON file")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_analyze, parser=p)
+    p.set_defaults(func=cmd_analyze, parsers=[("analyze", p)])
 
     p = sub.add_parser("construct", help="emit a constructed family member")
-    p.set_defaults(func=cmd_construct, parser=p)
+    p.set_defaults(func=cmd_construct)
     targets = p.add_subparsers(dest="family", required=True)
     for family, options in _FAMILY_OPTIONS.items():
         f = targets.add_parser(family, allow_abbrev=False)
         for name in options:
             f.add_argument(f"--{name}", **_OPTION_ARGUMENTS[name])
         f.add_argument("-o", "--output", default=None)
-        f.set_defaults(parser=f)
+        f.set_defaults(parsers=[("construct", p), (family, f)])
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(func=cmd_verify)
     targets = p.add_subparsers(dest="suite", required=True)
     for name, suite in sorted(verify.SUITES.items()):
         # the suite's signature is the one list of its bounds and their defaults
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             f.add_argument(f"--{param.name.replace('_', '-')}", dest=param.name, type=int,
                            help=f"default {param.default}")
         f.add_argument("-o", "--output", default=None)
-        f.set_defaults(parser=f)
+        f.set_defaults(parsers=[("verify", p), (name, f)])
 
     p = sub.add_parser("search", help="search PIPs for Scott counterexamples")
     p.add_argument("--seed", type=int, default=1)
@@ -234,25 +234,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-denominator", dest="max_denominator", type=int, default=4)
     p.add_argument("--coord-bound", dest="coord_bound", type=int, default=4)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_search, parser=p)
+    p.set_defaults(func=cmd_search, parsers=[("search", p)])
 
     p = sub.add_parser("render", help="render polygon/region/trace JSON to SVG")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_render, parser=p)
+    p.set_defaults(func=cmd_render, parsers=[("render", p)])
     return ap
 
 
 def main(argv=None) -> int:
-    # argparse hands a subcommand's leftover arguments up to the root parser;
-    # the parser that was given them reports them: the root those before the
-    # subcommand token, else the subcommand, family or suite parser
+    # argparse hands leftover arguments up to the root parser; the parser they
+    # were given to reports them.  argv[k] is token k of the subcommand chain
+    # unless parser k (the root for k = 0) was given arguments before it
     argv = sys.argv[1:] if argv is None else list(argv)
     args, extras = build_parser().parse_known_args(argv)
     if extras:
-        lead = argv[:argv.index(args.command)]
-        (build_parser() if lead else args.parser).error(
-            f"unrecognized arguments: {' '.join(lead or extras)}")
+        tokens, parsers = zip(*args.parsers)
+        k = next((k for k, token in enumerate(tokens) if argv[k] != token), len(tokens))
+        given = argv[k:argv.index(tokens[k], k)] if k < len(tokens) else extras
+        (build_parser(), *parsers)[k].error(f"unrecognized arguments: {' '.join(given)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -249,6 +249,7 @@ def constant_coefficient_of_interval(s: int, n: int) -> Fraction:
     """floor(n/s) - n/s + 1: the constant Ehrhart coefficient of [0, 1/s],
     a function of n mod s with minimal period s."""
     _require_int("s", s, 1)
+    _require_int("n", n)
     return Fraction(math.floor(Fraction(n, s))) - Fraction(n, s) + 1
 
 
@@ -324,21 +325,14 @@ def scott_inequality_holds(I: int, b: int) -> bool:
     return I == 0 or b <= 2 * I + 6 or (I, b) == (1, 9)
 
 
-def integral_hull_proposition_check(P: Polygon, *, I: int | None = None,
-                                    b: int | None = None) -> tuple[bool, bool]:
+def integral_hull_proposition_check(P: Polygon) -> tuple[bool, bool]:
     """(applicable, holds): when the integral hull of P has an interior
-    lattice point, P must satisfy Scott's inequality.
-
-    A caller that holds P's interior and boundary counts passes them as I
-    and b; otherwise they are counted here.
-    """
+    lattice point, P must satisfy Scott's inequality, with P's own interior
+    and boundary counts I and b."""
     hull = integral_hull(P)
     applicable = hull.dim == 2 and interior_count(hull.polygon, 1) >= 1
-    if b is None:
-        b = boundary_count(P, 1)
-    if I is None:
-        I = lattice_count(P, 1) - b
-    return applicable, scott_inequality_holds(I, b)
+    b = boundary_count(P, 1)
+    return applicable, scott_inequality_holds(lattice_count(P, 1) - b, b)
 
 
 # ---------------------------------------------------------------------------

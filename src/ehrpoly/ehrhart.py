@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -75,7 +75,6 @@ class EhrhartQuasiPolynomial:
     a2: tuple[int, ...]
     a1: tuple[int, ...]
     a0: tuple[int, ...]
-    _periods: PeriodSequence | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, modulus: int, c2, c1, c0):
         _require_int("modulus", modulus, 1)
@@ -103,7 +102,7 @@ class EhrhartQuasiPolynomial:
 
     def _set(self, modulus: int, den: int, a2, a1, a0) -> None:
         for name, value in (("modulus", modulus), ("den", den), ("a2", a2),
-                            ("a1", a1), ("a0", a0), ("_periods", None)):
+                            ("a1", a1), ("a0", a0)):
             object.__setattr__(self, name, value)
 
     c2 = cached_property(lambda q: tuple(Fraction(x, q.den) for x in q.a2))
@@ -122,14 +121,13 @@ class EhrhartQuasiPolynomial:
         _require_int("n", n)
         return Fraction((self.a0, self.a1, self.a2)[i][n % self.modulus], self.den)
 
+    @cached_property
+    def _periods(self) -> PeriodSequence:
+        s2, s1, s0 = map(minimal_period, (self.a2, self.a1, self.a0))
+        return PeriodSequence(s2, s1, s0, math.lcm(s0, s1, s2))
+
     def period_sequence(self) -> PeriodSequence:
         """The minimal periods, computed on the first call and kept."""
-        if self._periods is None:
-            s2 = minimal_period(self.a2)
-            s1 = minimal_period(self.a1)
-            s0 = minimal_period(self.a0)
-            object.__setattr__(self, "_periods",
-                               PeriodSequence(s2, s1, s0, math.lcm(s0, s1, s2)))
         return self._periods
 
     @property
@@ -157,15 +155,6 @@ def _divide(a: list[int], g: int) -> None:
         if y != x:
             x, q = y, y // g
         a[i] = q
-
-
-def _engine_pieces(R) -> tuple[int, tuple[Polygon, ...], tuple]:
-    """(D, polygons, segments) of R.  Seams join the removed segments: a
-    closed seam has the c1 sawtooth and the reciprocity defect
-    |n(a,b]| + |n[a,b)| of a half-open one, and its extra end point changes
-    only c0, which comes from the counts."""
-    polys, removed, seams = _pieces(R)
-    return math.lcm(*(x._Q for x in polys + removed + seams)), polys, removed + seams
 
 
 def _linear_numerators(D: int, polys, segs) -> list[int]:
@@ -220,7 +209,11 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     more count at 3D/2.  Any mismatch raises VerificationFailure, and a D
     too large for a table to hold, ValueError.
     """
-    D, polys, segs = _engine_pieces(R)
+    polys, removed, seams = _pieces(R)
+    # seams join the removed segments: a closed seam has the c1 sawtooth and
+    # the reciprocity defect |n(a,b]| + |n[a,b)| of a half-open one, and its
+    # extra end point changes only c0, which comes from the counts
+    D, segs = region_denominator(R), removed + seams
     _require_table_size(D)
     den = 2 * D * D
     a2 = _area_numerator(D, polys)

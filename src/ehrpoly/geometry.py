@@ -4,7 +4,7 @@ Points and vectors are plain `(Fraction, Fraction)` tuples at the API, which
 keeps them hashable and cheap; `Polygon` is the only real class.  No floats
 appear anywhere, so all predicates (orientation, containment, counts) are
 exact.  A polygon stores its vertices once as integers over their common
-denominator Q, and builds their `Fraction`s only when `vertices` is read.
+denominator Q, and builds their `Fraction`s on each read of `vertices`.
 Its validity check, convex hulls and unions, dilates, translates, areas,
 containment, lattice and boundary counts, and the lattice points of
 segments, boundaries and dilates run on integers.  One monotone chain
@@ -61,11 +61,6 @@ def point(x, y) -> Point:
     return (Fraction(x), Fraction(y))
 
 
-def vec_scale(a: Point, k) -> Point:
-    k = Fraction(k)
-    return (a[0] * k, a[1] * k)
-
-
 def cross(o: Point, a: Point, b: Point) -> Fraction:
     """Cross product of (a - o) and (b - o); > 0 for a left turn."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -93,20 +88,19 @@ class Polygon:
     winding (a pentagram turns left at every vertex), nor a line segment.
     """
 
-    __slots__ = ("_vertices", "_Q", "_V", "_plan", "_lines")
+    __slots__ = ("_Q", "_V", "_plan", "_lines")
 
     def __init__(self, vertices: Sequence):
-        verts = tuple(point(v[0], v[1]) for v in vertices)
-        m = len(verts)
+        Q, V = _scale_pairs(vertices)
+        m = len(V)
         if m < 3:
             raise DegenerateInput(f"need at least 3 vertices, got {m}")
-        Q, V = _scale(verts)
         start = min(range(m), key=V.__getitem__)
         V = V[start:] + V[:start]
         if V != _monotone_chain(sorted(V)):
             raise DegenerateInput("vertices are not their convex hull in counterclockwise order "
                                   "(repeated, collinear, clockwise or winding more than once)")
-        self._set(Q, V, verts[start:] + verts[:start])
+        self._set(Q, V)
 
     @classmethod
     def _from_scaled(cls, Q: int, V: Sequence[tuple[int, int]]) -> "Polygon":
@@ -121,23 +115,19 @@ class Polygon:
         if g > 1:
             Q, V = Q // g, [(x // g, y // g) for x, y in V]
         P = cls.__new__(cls)
-        P._set(Q, V, None)
+        P._set(Q, V)
         return P
 
-    def _set(self, Q: int, V: Sequence[tuple[int, int]], vertices) -> None:
-        # the vertices are _V / Q, with _V integer pairs; their Fractions are
-        # built by the first read of `vertices`, the counting plan by the
-        # first lattice count or enumeration and the edge lines by the
-        # first `_edge_lines`
-        self._Q, self._V, self._vertices = Q, tuple(V), vertices
+    def _set(self, Q: int, V: Sequence[tuple[int, int]]) -> None:
+        # the vertices are _V / Q, with _V integer pairs; the counting plan is
+        # built by the first lattice count or enumeration and the edge lines by
+        # the first `_edge_lines`
+        self._Q, self._V = Q, tuple(V)
         self._plan = self._lines = None
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        vs = self._vertices
-        if vs is None:
-            vs = self._vertices = tuple(_unscale(self._Q, v) for v in self._V)
-        return vs
+        return tuple(_unscale(self._Q, v) for v in self._V)
 
     # (_Q, _V) is canonical: Q is the least common denominator and V starts
     # at the smallest vertex
@@ -185,8 +175,7 @@ class Polygon:
         return self._least_side(p) == 0
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
+        xs, ys = zip(*self.vertices)
         return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -195,6 +184,14 @@ def _scale(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
     Q = coord_lcm(points)
     return Q, [(x.numerator * (Q // x.denominator), y.numerator * (Q // y.denominator))
                for x, y in points]
+
+
+def _scale_pairs(items: Iterable) -> tuple[int, list[tuple[int, int]]]:
+    """`_scale` of the `point`s of (x, y) pairs; any other item raises GeometryError."""
+    pts = list(items)
+    if bad := [i for i, p in enumerate(pts) if not isinstance(p, (tuple, list)) or len(p) != 2]:
+        raise GeometryError(f"point {bad[0]} is not an (x, y) pair: {pts[bad[0]]!r}")
+    return _scale([point(x, y) for x, y in pts])
 
 
 def _unscale(Q: int, p: tuple[int, int]) -> Point:
@@ -253,7 +250,7 @@ def convex_hull(points: Iterable) -> Polygon:
     Raises DegenerateInput when fewer than 3 distinct points remain or all
     points are collinear.
     """
-    return _scaled_hull(*_scale([point(p[0], p[1]) for p in points]))
+    return _scaled_hull(*_scale_pairs(points))
 
 
 def _scaled_hull(Q: int, V: Iterable[tuple[int, int]]) -> Polygon:
@@ -316,21 +313,6 @@ def primitive(r: Vector) -> tuple[int, int]:
     return (u, v)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int]:
     """(c, g, u, v) for the line through the integer points a != b.
 
@@ -346,12 +328,13 @@ def _line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int]:
 
 def _lattice_line(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int, int, int]:
     """(c, k, g, u, v): the `_line` (c, g, u, v) of a -> b and a start k.
-    With alpha*u + beta*v = 1, s = alpha*x + beta*y runs along the line
-    from k at a to k + g at b, growing by 1 along each step (u, v); where
-    n/Q times the line meets Z^2, its lattice points are where s is an
-    integer."""
+    s = alpha*x + beta*y, with alpha = u^-1 mod |v| from `pow` (u when v = 0)
+    and alpha*u + beta*v = 1, runs along the line from k at a to k + g at b,
+    growing by 1 along each step (u, v); where n/Q times the line meets Z^2,
+    its lattice points are where s is an integer."""
     c, g, u, v = _line(a, b)
-    _, alpha, beta = _egcd(u, v)
+    alpha = pow(u, -1, abs(v)) if v else u
+    beta = (1 - alpha * u) // v if v else 0
     return c, alpha * a[0] + beta * a[1], g, u, v
 
 
@@ -520,7 +503,7 @@ def _rows(P: Polygon, n: int) -> Iterator[tuple[int, int, int]]:
     """(y, first x, last x) of each integer row of nP, from the exact
     `Fraction` edge crossings; a row without lattice points has last < first.
     Only the row-scan oracle reads this."""
-    verts = [vec_scale(v, n) for v in P.vertices]
+    verts = [(x * n, y * n) for x, y in P.vertices]
     ymin = min(v[1] for v in verts)
     ymax = max(v[1] for v in verts)
     for y in range(math.ceil(ymin), math.floor(ymax) + 1):

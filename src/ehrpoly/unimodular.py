@@ -143,6 +143,9 @@ class PiecewiseUnimodularMap:
     _line: tuple[int, int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("positive_side_map", "negative_side_map"):
+            if not isinstance(m := getattr(self, name), AffineUnimodular):
+                raise ValueError(f"{name} must be an AffineUnimodular, got {type(m).__name__}")
         object.__setattr__(self, "anchor", point(*self.anchor))
         object.__setattr__(self, "direction", primitive(self.direction))
         (u, v), (d, ((x, y),)) = self.direction, _scale([self.anchor])

@@ -239,6 +239,9 @@ def test_options_are_spelled_out_after_the_target(capsys, argv, prog, message):
     (("analyze", "in.json", "out.json"), "ehrpoly analyze", "out.json"),
     # before the subcommand token, only the root parser has seen it
     (("--foo", "search", "--trials", "1", "extra"), "ehrpoly", "--foo"),
+    # between the subcommand and its target, only the subcommand parser has
+    (("verify", "--foo", "transforms"), "ehrpoly verify", "--foo"),
+    (("construct", "--foo", "pip-b2", "--I", "2"), "ehrpoly construct", "--foo"),
 ])
 def test_a_foreign_argument_is_refused_by_the_parser_it_was_given_to(capsys, argv, prog, foreign):
     err = usage_error(capsys, *argv, prog=prog)

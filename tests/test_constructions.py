@@ -9,6 +9,7 @@ from ehrpoly import (
     Polygon,
     area,
     boundary_count,
+    constant_coefficient_of_interval,
     convex_hull,
     glued,
     glued_count_identity,
@@ -225,6 +226,13 @@ class TestScott:
             assert scott_admissible(I, b), (I, b)
 
 
+@pytest.mark.parametrize("n", [True, 1.5])
+def test_the_interval_constant_refuses_an_n_that_is_not_an_integer(n):
+    # True would be read as 1, and 1.5 raised a TypeError from Fraction
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+        constant_coefficient_of_interval(3, n)
+
+
 class TestIntegralHullProposition:
     def test_fat_nearly_integral_square(self):
         P = Polygon([(F(-1, 3), F(-1, 3)), (F(10, 3), F(-1, 3)),
@@ -241,16 +249,13 @@ class TestIntegralHullProposition:
         applicable, holds = integral_hull_proposition_check(P)
         assert applicable and holds
 
-    def test_given_counts_replace_the_recount(self, monkeypatch):
+    def test_holds_is_scotts_inequality_on_the_counts_of_P(self, monkeypatch):
         import sys
         cons = sys.modules["ehrpoly.constructions"]
         P = Polygon([(F(-1, 3), F(-1, 3)), (F(10, 3), F(-1, 3)),
                      (F(10, 3), F(10, 3)), (F(-1, 3), F(10, 3))])
-        I = interior_count(P, 1)
-        b = lattice_count(P, 1) - I
-        assert integral_hull_proposition_check(P, I=I, b=b) == (True, True)
-        for name in ("boundary_count", "lattice_count"):
-            monkeypatch.setattr(cons, name, lambda *a: pytest.fail("recounted"))
-        assert integral_hull_proposition_check(P, I=I, b=b) == (True, True)
-        # counts that break Scott's inequality are taken as given
-        assert integral_hull_proposition_check(P, I=1, b=10) == (True, False)
+        assert integral_hull_proposition_check(P) == (True, True)
+        # counts of P that broke Scott's inequality, (I, b) = (1, 10)
+        monkeypatch.setattr(cons, "boundary_count", lambda Q, n: 10 if Q is P else pytest.fail())
+        monkeypatch.setattr(cons, "lattice_count", lambda Q, n: 11 if Q is P else pytest.fail())
+        assert integral_hull_proposition_check(P) == (True, False)

@@ -197,7 +197,8 @@ class TestEngine:
         for R in regions:
             D = region_denominator(R)
             fitted = ehrhart_interpolated(R).c1
-            a1 = eh._linear_numerators(*eh._engine_pieces(R))
+            polys, removed, seams = eh._pieces(R)
+            a1 = eh._linear_numerators(eh.region_denominator(R), polys, removed + seams)
             assert [F(x, 2 * D * D) for x in a1] == list(fitted)
 
     def test_a_fault_at_any_count_raises(self, monkeypatch):

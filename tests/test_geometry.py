@@ -1,9 +1,10 @@
 import math
+import re
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ehrpoly import (
     DegenerateInput,
@@ -71,6 +72,17 @@ class TestConvexHull:
     def test_clockwise_rejected(self):
         with pytest.raises(DegenerateInput):
             Polygon([(0, 0), (0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("build", [Polygon, convex_hull])
+    @pytest.mark.parametrize("k, bad", [(0, (0, 0, 5)), (2, (0, 1, 5)), (1, "10"), (2, 7)])
+    def test_a_point_that_is_not_a_pair_is_named(self, build, k, bad):
+        # a third coordinate is refused, not dropped, and a two-character
+        # string is not read as two coordinates
+        pts = [(0, 0), (1, 0), (0, 1)]
+        pts[k] = bad
+        with pytest.raises(GeometryError, match=rf"^point {k} is not an \(x, y\) pair: "
+                                                rf"{re.escape(repr(bad))}$"):
+            build(pts)
 
     def test_pentagram_rejected(self):
         # every turn is left, but the boundary winds around twice
@@ -542,9 +554,12 @@ class TestIntegerCore:
            st.tuples(frac6, frac6))
     def test_unchecked_constructions_match_the_checked_constructor(self, P, n, d):
         # dilate, translate and integral_hull skip the checks and the
-        # Fraction vertices; Polygon(list of Fractions) does neither
-        dilated, moved = P.dilate(n), P.translate(d)
-        assert dilated._vertices is None and moved._vertices is None
+        # Fraction vertices, all of which `_unscale` builds; Polygon(list of
+        # Fractions) does neither
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["ehrpoly.geometry"], "_unscale",
+                       lambda *a: pytest.fail("built a Fraction vertex"))
+            dilated, moved = P.dilate(n), P.translate(d)
         pairs = [(dilated, [(n * x, n * y) for x, y in P.vertices]),
                  (moved, [(x + d[0], y + d[1]) for x, y in P.vertices])]
         h = integral_hull(P)
@@ -567,6 +582,14 @@ class TestIntegerCore:
 
     @settings(max_examples=150, deadline=None)
     @given(rational_segments(), st.integers(min_value=1, max_value=3))
+    # the direction cases of the start point's inverse: v = 0, u = 0,
+    # |v| = 1 of either sign, and a large coprime (u, v)
+    @example(((F(-1, 3), F(1, 2)), (3, F(1, 2))), 2)
+    @example(((1, F(-5, 2)), (1, 4)), 1)
+    @example(((F(1, 2), 0), (F(7, 2), 1)), 2)
+    @example(((0, 1), (2, 0)), 3)
+    @example(((0, 0), (F(1000003, 1000001), F(-999999, 1000001))), 1)
+    @example(((F(1, 2), F(1, 3)), (F(1, 2) + F(1000003, 999998), F(1, 3) - F(999999, 999998))), 3)
     def test_segment_counts_match_point_on_segment(self, seg, n):
         a, b = seg
         brute = _lattice_scan(a, b)

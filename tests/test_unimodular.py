@@ -258,6 +258,12 @@ class TestApplyDisjoint:
         with pytest.raises(ValueError, match=f"^{name} must be a PiecewiseUnimodularMap, got int$"):
             call(5)
 
+    @pytest.mark.parametrize("sides, name", [((1, 2), "positive_side_map"),
+                                             ((IDENTITY, 2), "negative_side_map")])
+    def test_a_side_map_that_is_not_affine_is_named_with_its_type(self, sides, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an AffineUnimodular, got int$"):
+            PiecewiseUnimodularMap((0, 0), (0, 1), *sides)
+
     def test_single_map_matches_apply_piecewise(self):
         T = region([(0, 0), (1, 1), (-1, 0)], [((0, 0), (1, 1))])
         assert apply_disjoint([skew_plus((0, -1))], T) == apply_piecewise(skew_plus((0, -1)), T)
