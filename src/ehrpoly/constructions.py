@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ehrhart import EhrhartQuasiPolynomial, ehrhart, is_pip, region_denominator
+from .ehrhart import EhrhartQuasiPolynomial, _pip_signature, ehrhart, region_denominator
 from .geometry import (
     GeometryError,
     Point,
@@ -371,11 +371,11 @@ def scott_pip_search(seed: int, trials: int, max_denominator: int = 4,
         if P is None:
             continue
         report.polygons_tested += 1
-        if not is_pip(P):
+        signature = _pip_signature(P)
+        if signature is None:
             continue
         report.pips_found += 1
-        b = boundary_count(P, 1)
-        I = lattice_count(P, 1) - b
+        I, b = signature
         report.census[(I, b)] = report.census.get((I, b), 0) + 1
         if not scott_inequality_holds(I, b):
             report.counterexamples.append(P)

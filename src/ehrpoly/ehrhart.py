@@ -20,7 +20,8 @@ becomes Fractions only when its `c2`, `c1` or `c0` view is read.
 
 `is_pip` builds no tables for a polygon: p1 != 1 rules it out, and
 otherwise c1 is half its lattice perimeter, and the test stops at the
-first count that leaves c2 n^2 + c1 n + 1.  A region with a removed
+first count that leaves c2 n^2 + c1 n + 1; a PIP's (I, b) follow from c2
+and c1 (`_pip_signature`).  A region with a removed
 segment or a seam is a PIP when its `ehrhart` tables have quasi-period 1.
 The interpolating fit, `ehrhart_interpolated`, is kept as the oracle the
 engine is tested against.
@@ -266,14 +267,16 @@ def is_pip(R) -> bool:
     """Pseudo-integral: the Ehrhart quasi-polynomial is a true polynomial.
 
     A polygon, or a region with nothing removed and no seam, is settled
-    without building tables: c1 must be constant and the counts at
-    n = 1..D must equal c2 n^2 + c1 n + 1; the test stops at the first that
-    does not.  An edge of QP with `_line` (c, g, u, v) and period
-    p = Q/gcd(Q, c) adds (g/Q)(1/2 - {-n c/Q}) to c1(n) (see
+    without building tables by `_pip_signature`: c1 must be constant and
+    the counts at n = 1..D must equal c2 n^2 + c1 n + 1; the test stops at
+    the first that does not.  An edge of QP with `_line` (c, g, u, v) and
+    period p = Q/gcd(Q, c) adds (g/Q)(1/2 - {-n c/Q}) to c1(n) (see
     `_linear_numerators`): at most g/(2Q), reached at n ≡ 0 (mod Q), and
     g/(2Qp) on average over a period.  A constant c1 equals both its value
     at n = Q and its mean, so every p = 1, that is p1 = 1; then c1 is the
-    sum of g/(2Q), half the lattice perimeter.
+    sum of g/(2Q), half the lattice perimeter.  For a PIP, reciprocity
+    gives I = L(-1) = c2 - c1 + 1, so b = L(1) - I = 2 c1 = Σg/Q, which is
+    how `scott_pip_search` reads (I, b) from the test.
 
     A removed segment or a seam subtracts a term of the other sign, which
     can cancel an edge's jumps (the triangle (-1, -1), (3, 3/2), (1, 3/2)
@@ -284,17 +287,29 @@ def is_pip(R) -> bool:
     polys, removed, seams = _pieces(R)
     if removed or seams:
         return ehrhart(R).quasi_period == 1
-    (P,) = polys
+    return _pip_signature(polys[0]) is not None
+
+
+def _pip_signature(P: Polygon) -> tuple[int, int] | None:
+    """(I, b), the interior and boundary lattice points of P, when the
+    polygon P is a PIP, else None; the test of `is_pip`.
+
+    Both come from the test's own numbers: b = 2 c1 = Σg/Q from the edge
+    lines, and I = L(1) - b = c2 - c1 + 1, the value at n = 1 that the
+    first count has just confirmed.
+    """
     D, V, perimeter = P._Q, P._V, 0
     for a, b in zip(V, V[1:] + V[:1]):
         c, g, _, _ = _line(a, b)
         if c % D:   # p > 1
-            return False
+            return None
         perimeter += g
     # 2D^2 * c1, with c1 = perimeter / 2D
-    a2, a1, den = _area_numerator(D, polys), D * perimeter, 2 * D * D
-    return all(den * region_count(R, n) == a2 * n * n + a1 * n + den
-               for n in range(1, D + 1))
+    a2, a1, den = _area_numerator(D, (P,)), D * perimeter, 2 * D * D
+    if not all(den * region_count(P, n) == a2 * n * n + a1 * n + den
+               for n in range(1, D + 1)):
+        return None
+    return (a2 - a1) // den + 1, perimeter // D
 
 
 def mcmullen_indices(P: Polygon) -> tuple[int, int, int]:

@@ -12,7 +12,8 @@ segments, boundaries and dilates run on integers.  One monotone chain
 list is its own hull; one lattice-line formula (`_line`, which
 `_lattice_line` extends by a start point) serves every segment and edge
 period; one edge test (`_edge_sides`) places points against edges; one
-check (`_require_int`) guards every integer parameter.  Hulls, unions,
+check (`_require_int`) guards every integer parameter, and one (`_pair`)
+every single point.  Hulls, unions,
 dilates and translates build their polygons from integers through one
 unchecked constructor (`Polygon._from_scaled`).
 
@@ -154,14 +155,14 @@ class Polygon:
         return Polygon._from_scaled(self._Q, [(n * x, n * y) for x, y in self._V])
 
     def translate(self, d: Vector) -> "Polygon":
-        d = point(d[0], d[1])
+        d = _pair(d)
         Q = math.lcm(self._Q, coord_lcm([d]))
         m, dx, dy = Q // self._Q, int(d[0] * Q), int(d[1] * Q)
         return Polygon._from_scaled(Q, [(m * x + dx, m * y + dy) for x, y in self._V])
 
     def _least_side(self, p) -> int:
-        """min `_edge_sides` of p, coerced by `point`: 0 on the boundary."""
-        d, (q,) = _scale([point(p[0], p[1])])
+        """min `_edge_sides` of p, coerced by `_pair`: 0 on the boundary."""
+        d, (q,) = _scale([_pair(p)])
         return min(_edge_sides(self, d, q))
 
     def contains(self, p: Point) -> bool:
@@ -186,10 +187,22 @@ def _scale(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
                for x, y in points]
 
 
+def _is_pair(p) -> bool:
+    return isinstance(p, (tuple, list)) and len(p) == 2
+
+
+def _pair(p) -> Point:
+    """`point` of one (x, y) pair given to the API; anything else raises
+    GeometryError naming it."""
+    if not _is_pair(p):
+        raise GeometryError(f"point is not an (x, y) pair: {p!r}")
+    return point(*p)
+
+
 def _scale_pairs(items: Iterable) -> tuple[int, list[tuple[int, int]]]:
     """`_scale` of the `point`s of (x, y) pairs; any other item raises GeometryError."""
     pts = list(items)
-    if bad := [i for i, p in enumerate(pts) if not isinstance(p, (tuple, list)) or len(p) != 2]:
+    if bad := [i for i, p in enumerate(pts) if not _is_pair(p)]:
         raise GeometryError(f"point {bad[0]} is not an (x, y) pair: {pts[bad[0]]!r}")
     return _scale([point(x, y) for x, y in pts])
 
@@ -231,17 +244,24 @@ def _monotone_chain(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     A collinear set gives its two ends, a single point or an empty set
     gives [].
     """
-    lower: list = []
+    return _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
+
+
+def _half_chain(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The chain of `_monotone_chain` through pts in the given order, keeping
+    only left turns: a kept point o, a, p turn left iff `cross(o, a, p) > 0`,
+    written out here as a comparison."""
+    chain: list = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+        px, py = p
+        while len(chain) > 1:
+            ox, oy = chain[-2]
+            ax, ay = chain[-1]
+            if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
+                break
+            del chain[-1]
+        chain.append(p)
+    return chain
 
 
 def convex_hull(points: Iterable) -> Polygon:
@@ -291,7 +311,7 @@ def denominator(P: Polygon) -> int:
 
 def _primitive_parts(r: Vector) -> tuple[int, int, int, int]:
     """(u, v, g, Q) with r = (g / Q) * (u, v) and (u, v) primitive."""
-    Q, ((x, y),) = _scale([point(r[0], r[1])])
+    Q, ((x, y),) = _scale([_pair(r)])
     g = math.gcd(x, y)
     if g == 0:
         raise ZeroVector("lattice length of the zero vector")
@@ -364,7 +384,7 @@ def _segment_count(line: tuple, Q: int, n: int, closed: bool) -> int:
 
 def segment_lattice_count(a: Point, b: Point) -> int:
     """Number of integer points on the closed segment [a, b], a != b."""
-    a, b = point(a[0], a[1]), point(b[0], b[1])
+    a, b = _pair(a), _pair(b)
     if a == b:
         raise ZeroVector("degenerate segment")
     Q, (A, B) = _scale((a, b))
@@ -373,7 +393,7 @@ def segment_lattice_count(a: Point, b: Point) -> int:
 
 def segment_lattice_points(a: Point, b: Point) -> list[tuple[int, int]]:
     """All integer points on the closed segment [a, b], in order from a to b."""
-    a, b = point(a[0], a[1]), point(b[0], b[1])
+    a, b = _pair(a), _pair(b)
     if a == b:
         raise ZeroVector("degenerate segment")
     Q, (A, B) = _scale((a, b))

@@ -75,8 +75,17 @@ def vertex_from_json(obj, path: str) -> Point:
             pair_to_fraction(obj[1], f"{path}[1]"))
 
 
+def _coordinate_to_json(c: int, Q: int) -> list[str]:
+    """`fraction_to_pair` of c / Q, for an integer c and Q > 0, with one gcd."""
+    g = math.gcd(c, Q)
+    return [str(c // g), str(Q // g)]
+
+
 def polygon_to_json(P: Polygon) -> dict:
-    return {"vertices": [vertex_to_json(v) for v in P.vertices]}
+    """The vertices, written from the integer vertices `_V` over `_Q`."""
+    Q = P._Q
+    return {"vertices": [[_coordinate_to_json(x, Q), _coordinate_to_json(y, Q)]
+                         for x, y in P._V]}
 
 
 def polygon_from_json(obj, path: str = "polygon") -> Polygon:

@@ -20,6 +20,7 @@ from .geometry import (
     GeometryError,
     _edge_sides,
     _lattice_line,
+    _pair,
     _require_int,
     _scale,
     _segment_count,
@@ -46,7 +47,7 @@ class HalfOpenSegment:
     __slots__ = ("_Q", "_a", "_b", "_lines")
 
     def __init__(self, open_end: Point, closed_end: Point):
-        Q, (a, b) = _scale((point(*open_end), point(*closed_end)))
+        Q, (a, b) = _scale((_pair(open_end), _pair(closed_end)))
         self._set(Q, a, b)
 
     @classmethod
@@ -89,8 +90,8 @@ class HalfOpenSegment:
         return HalfOpenSegment._from_scaled(self._Q, (n * ax, n * ay), (n * bx, n * by))
 
     def contains(self, p: Point) -> bool:
-        """Exact membership of p, coerced by `point`, in (open_end, closed_end]."""
-        p = point(p[0], p[1])
+        """Exact membership of p, coerced by `_pair`, in (open_end, closed_end]."""
+        p = _pair(p)
         return point_on_segment(p, self.open_end, self.closed_end) and p != self.open_end
 
 

@@ -3,9 +3,11 @@
 Reproducibility across runs, platforms and implementations matters more
 here than statistical quality, so the generator is a fixed 64-bit
 SplitMix64 with its standard constants, and every trial draws from its own
-stream derived from (seed, trial index).  No use of `random`.  A polygon's
-points are drawn as integers over one denominator q, and its hull is built
-from those integers, so no `Fraction` is made until its vertices are read.
+stream derived from (seed, trial index).  No use of `random`.  One trial
+takes two batches of draws from its stream, each one loop of `draws`: q
+and the point count k, then the 2k coordinates.  A polygon's points are
+integers over q, and its hull is built from those integers, so no
+`Fraction` is made until its vertices are read.
 """
 from __future__ import annotations
 
@@ -23,14 +25,29 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """SplitMix64: state += golden; output = mix(state). Fixed constants."""
+    """SplitMix64: state += golden; output = mix(state). Fixed constants.
+
+    `draws(k)` is the one step: it returns the next k outputs from a single
+    loop, with the finalizer written out in it, and `next` is `draws(1)`.
+    """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
+    def draws(self, k: int) -> list[int]:
+        """The next k outputs, in order; the state advances k steps."""
+        z, out = self.state, []
+        for _ in range(k):
+            z = (z + _GOLDEN) & _MASK
+            # _mix(z)
+            x = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+            out.append(x ^ (x >> 31))
+        self.state = z
+        return out
+
     def next(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return _mix(self.state)
+        return self.draws(1)[0]
 
     def below(self, m: int) -> int:
         """Uniform-ish integer in [0, m); modulo bias is irrelevant here."""
@@ -57,18 +74,19 @@ def random_polygon(rng: SplitMix64, max_denominator: int, coord_bound: int) -> P
 
     All coordinates of one polygon share a denominator q <= max_denominator,
     so the polygon's own denominator is also <= max_denominator.  The
-    draws are q, k, then x and y of each point; their order is part of
-    every search report.
+    draws are q, k, then x and y of each point, each taken as
+    `int_between` takes it (lo + draw % (hi - lo + 1)); their order is part
+    of every search report.
     """
     _require_int("max_denominator", max_denominator, 1)
     _require_int("coord_bound", coord_bound, 1)
-    q = rng.int_between(1, max_denominator)
-    k = rng.int_between(3, 7)
-    pts = [(rng.int_between(-coord_bound * q, coord_bound * q),
-            rng.int_between(-coord_bound * q, coord_bound * q))
-           for _ in range(k)]
+    dq, dk = rng.draws(2)
+    q, k = 1 + dq % max_denominator, 3 + dk % 5
+    b = coord_bound * q
+    w = 2 * b + 1
+    cs = [d % w - b for d in rng.draws(2 * k)]
     try:
-        return _scaled_hull(q, pts)
+        return _scaled_hull(q, zip(cs[::2], cs[1::2]))
     except DegenerateInput:
         return None
 

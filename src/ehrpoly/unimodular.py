@@ -41,13 +41,13 @@ from .geometry import (
     Polygon,
     Vector,
     _edge_sides,
+    _pair,
     _require_int,
     _scale,
     _scaled_hull,
     _union_hull,
     _unscale,
     is_lattice,
-    point,
     primitive,
 )
 from .regions import (
@@ -90,7 +90,7 @@ class AffineUnimodular:
         return self.m00 * self.m11 - self.m01 * self.m10
 
     def apply(self, p: Point) -> Point:
-        Q, V = _scale([point(*p)])
+        Q, V = _scale([_pair(p)])
         return _unscale(Q, _map_scaled(self, Q, V)[0])
 
     def compose(self, other: "AffineUnimodular") -> "AffineUnimodular":
@@ -146,7 +146,7 @@ class PiecewiseUnimodularMap:
         for name in ("positive_side_map", "negative_side_map"):
             if not isinstance(m := getattr(self, name), AffineUnimodular):
                 raise ValueError(f"{name} must be an AffineUnimodular, got {type(m).__name__}")
-        object.__setattr__(self, "anchor", point(*self.anchor))
+        object.__setattr__(self, "anchor", _pair(self.anchor))
         object.__setattr__(self, "direction", primitive(self.direction))
         (u, v), (d, ((x, y),)) = self.direction, _scale([self.anchor])
         # with the anchor at (x, y) / d, the line is u*Y - v*X = c / d
@@ -163,7 +163,7 @@ class PiecewiseUnimodularMap:
         return d * (u * p[1] - v * p[0]) - Q * c
 
     def side(self, p: Point) -> int:
-        Q, (q,) = _scale([point(*p)])
+        Q, (q,) = _scale([_pair(p)])
         s = self._side(Q, q)
         return (s > 0) - (s < 0)
 
@@ -171,7 +171,7 @@ class PiecewiseUnimodularMap:
         return self.positive_side_map if sign >= 0 else self.negative_side_map
 
     def apply(self, p: Point) -> Point:
-        Q, V = _scale([point(*p)])
+        Q, V = _scale([_pair(p)])
         return _unscale(Q, self._apply_scaled(Q, V)[0])
 
     def _apply_scaled(self, Q: int, V) -> list[tuple[int, int]]:
@@ -216,8 +216,7 @@ def affine_skew(u, w, sign: str) -> PiecewiseUnimodularMap:
 
     `u` must be a lattice point so the conjugated map stays in GL2(Z) x Z^2.
     """
-    u = point(*u)
-    w = point(*w)
+    u, w = _pair(u), _pair(w)
     if u == w:
         raise CoincidentPoints("anchor and target coincide")
     if not is_lattice(u):

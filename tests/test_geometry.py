@@ -392,6 +392,28 @@ class TestContainment:
         assert T.on_boundary((1.5, 1.5)) and T.on_boundary(("0.99", "2.01"))
 
 
+_T2 = Polygon([(0, 0), (2, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: _T2.contains(p),
+    lambda p: segment_lattice_count(p, (2, 0)),
+    lambda p: segment_lattice_points((2, 0), p),
+    lambda p: _T2.translate(p),
+    lambda p: lattice_length(p),
+    lambda p: HalfOpenSegment(p, (1, 0)),
+], ids=["contains", "segment_lattice_count", "segment_lattice_points", "translate",
+        "lattice_length", "HalfOpenSegment"])
+@pytest.mark.parametrize("bad", [(1, 1, 99), "11", (7,), 7])
+def test_a_single_point_that_is_not_a_pair_is_named(call, bad):
+    # a third coordinate is refused, not dropped, and a two-character
+    # string is not read as two coordinates
+    with pytest.raises(GeometryError, match=rf"^point is not an \(x, y\) pair: "
+                                            rf"{re.escape(repr(bad))}$"):
+        call(bad)
+    assert call((1, 1)) is not None
+
+
 class TestCountingPlan:
     @settings(max_examples=40, deadline=None)
     @given(rational_polygons(), st.randoms(), st.tuples(frac6, frac6),

@@ -2,7 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from ehrpoly import Polygon, ehrhart, pip_b1, region
+from ehrpoly import (
+    Polygon,
+    ehrhart,
+    glued,
+    heptagon,
+    pip_b1,
+    pip_b2,
+    pip_b2_half,
+    polygon_corpus,
+    region,
+    triangle_q,
+)
 from ehrpoly.jsonio import (
     ParseError,
     dumps,
@@ -13,6 +24,7 @@ from ehrpoly.jsonio import (
     region_from_json,
     region_to_json,
     trace_to_json,
+    vertex_to_json,
 )
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -24,6 +36,16 @@ def test_polygon_round_trip_preserves_exact_fractions():
     # canonical order starts at the lexicographically smallest vertex
     assert doc["vertices"][0] == [["-1", "3"], ["2", "3"]]
     assert polygon_from_json(doc) == P
+
+
+def test_polygons_are_written_as_their_fraction_vertices_would_be():
+    polys = polygon_corpus(3, 200, max_denominator=12, coord_bound=6)
+    polys += [P for I in range(1, 6) for P in (pip_b1(I).final, pip_b2(I), pip_b2_half(I))]
+    polys += [heptagon(s) for s in range(2, 9)] + [glued(s, t) for s in (2, 5) for t in (3, 7)]
+    polys += [triangle_q((0, 0), q) for q in range(1, 6)]
+    for P in polys:
+        assert dumps(polygon_to_json(P)) == \
+            dumps({"vertices": [vertex_to_json(v) for v in P.vertices]})
 
 
 def test_huge_integers_survive():

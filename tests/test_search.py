@@ -22,8 +22,9 @@ from ehrpoly import (
     scott_inequality_holds,
     scott_pip_search,
 )
+from ehrpoly.ehrhart import _pip_signature
 from ehrpoly.jsonio import dumps, search_report_to_json
-from ehrpoly.sampling import SplitMix64, _mix, random_polygon, trial_rng
+from ehrpoly.sampling import _GOLDEN, _MASK, SplitMix64, _mix, random_polygon, trial_rng
 from ehrpoly.verify import verify_mcmullen
 
 
@@ -51,6 +52,48 @@ def test_trial_streams_are_position_independent():
     direct = trial_rng(5, 17)
     assert direct.state == _mix(_mix(5) + 17)
     assert SplitMix64(_mix(_mix(5) + 17)).next() == direct.next() == 10884063592994707696
+
+
+@pytest.mark.parametrize("seed", [0, 5, _MASK, _mix(_mix(5) + 17)])
+@pytest.mark.parametrize("k", [0, 1, 2, 14])
+def test_draws_are_k_steps_of_the_generator(seed, k):
+    batch, single = SplitMix64(seed), SplitMix64(seed)
+    out = batch.draws(k)
+    assert out == [single.next() for _ in range(k)]
+    assert batch.state == single.state == (seed + k * _GOLDEN) & _MASK
+    # the finalizer written out in `draws` is `_mix` of each stepped state
+    assert out == [_mix((seed + i * _GOLDEN) & _MASK) for i in range(1, k + 1)]
+
+
+def _quadrilateral_2I_plus_7(I):
+    """The PIP (0, 0), (2I+4, 0), (2I+2, 1/2), (0, 3/2), with b = 2I + 7; at
+    I = 1 the triangle without the third vertex."""
+    top = [(2 * I + 2, F(1, 2))] if I >= 2 else []
+    return Polygon([(0, 0), (2 * I + 4, 0), *top, (0, F(3, 2))])
+
+
+def _assert_signature(P):
+    sig = _pip_signature(P)
+    assert (sig is None) == (not is_pip(P)) == (ehrhart(P).quasi_period != 1)
+    if sig is not None:
+        assert sig == (interior_count(P, 1), boundary_count(P, 1))
+    return sig
+
+
+@pytest.mark.parametrize("max_denominator, coord_bound", [(4, 4), (6, 6), (2, 10), (1, 9)])
+def test_pip_signature_is_the_interior_and_boundary_count_of_a_pip(max_denominator, coord_bound):
+    sigs = [_assert_signature(P) for P in polygon_corpus(11, 300, max_denominator, coord_bound)]
+    pips = sum(s is not None for s in sigs)
+    # every lattice polygon is a PIP
+    assert pips == 300 if max_denominator == 1 else 0 < pips < 300
+
+
+def test_pip_signature_of_the_constructed_families():
+    for I in range(1, 8):
+        assert _assert_signature(pip_b1(I).final) == (I, 1)
+        assert _assert_signature(pip_b2(I)) == (I, 2)
+    for I in range(1, 7):
+        assert _assert_signature(_quadrilateral_2I_plus_7(I)) == (I, 2 * I + 7)
 
 
 @pytest.mark.parametrize("draw", [
@@ -90,8 +133,7 @@ def test_pips_with_b_equal_to_2I_plus_7_exist(I):
     # the quadrilateral (0, 0), (2I+4, 0), (2I+2, 1/2), (0, 3/2) is a PIP with
     # b = 2I + 7, so the integral bound b <= 2I + 6 has PIP violations for
     # every I >= 2; at I = 1 it is the triangle with the (1, 9) exception
-    top = [(2 * I + 2, F(1, 2))] if I >= 2 else []
-    P = Polygon([(0, 0), (2 * I + 4, 0), *top, (0, F(3, 2))])
+    P = _quadrilateral_2I_plus_7(I)
     assert is_pip(P)
     assert (interior_count(P, 1), boundary_count(P, 1)) == (I, 2 * I + 7)
     assert scott_inequality_holds(I, 2 * I + 7) == (I == 1)
