@@ -8,7 +8,7 @@ per-edge floor sums, a row-by-row scan, and a naive bounding-box check.
 from fractions import Fraction as F
 
 from ehrpoly import (
-    Polygon, area, boundary_count, convex_hull, denominator, integral_hull,
+    area, boundary_count, convex_hull, denominator, integral_hull,
     interior_count, lattice_count, lattice_count_naive, lattice_count_rowscan,
     lattice_points,
 )

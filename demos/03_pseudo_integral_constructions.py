@@ -8,8 +8,7 @@ semi-open triangle and pushes it through a chain of piecewise skew
 unimodular transformations, none of which changes any lattice count.
 """
 from ehrpoly import (
-    boundary_count, ehrhart, interior_count, lattice_count, pip_b1, pip_b2,
-    region_count,
+    boundary_count, ehrhart, interior_count, pip_b1, pip_b2, region_count,
 )
 
 print(__doc__)

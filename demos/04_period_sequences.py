@@ -15,9 +15,8 @@ the one half-open interval of overcounting.
 import math
 
 from ehrpoly import (
-    ehrhart, glued, glued_count_identity, heptagon, heptagon_anchor,
-    heptagon_decomposition_check, series_coefficients, gf_series_check,
-    lattice_count, triangle_q,
+    ehrhart, glued, glued_count_identity, heptagon, heptagon_decomposition,
+    series_coefficients, gf_series_check, lattice_count, triangle_q,
 )
 
 print(__doc__)
@@ -25,7 +24,7 @@ print(__doc__)
 for s in (2, 3):
     ps = ehrhart(heptagon(s)).period_sequence()
     print(f"H({s}): period sequence ({ps.s2}, {ps.s1}, {ps.s0});"
-          f" decomposition check: {heptagon_decomposition_check(s)}")
+          f" decomposition check: {all(heptagon_decomposition(s)['checks'].values())}")
 print()
 
 for t in (2, 4):

@@ -14,7 +14,6 @@ pseudo-integral ones, and tabulates their (I, b) signatures.  Identical
 seeds give byte-identical reports.
 """
 from ehrpoly import integral_hull_proposition_check, scott_pip_search
-from ehrpoly.jsonio import dumps, search_report_to_json
 
 print(__doc__)
 

@@ -16,7 +16,6 @@ from .geometry import (
     ZeroVector,
     area,
     boundary_count,
-    boundary_points,
     convex_hull,
     convex_union,
     denominator,
@@ -29,8 +28,6 @@ from .geometry import (
     lattice_points,
     point,
     primitive,
-    segment_lattice_count,
-    segment_lattice_points,
 )
 from .regions import (
     HalfOpenSegment,
@@ -81,7 +78,6 @@ from .constructions import (
     heptagon,
     heptagon_anchor,
     heptagon_decomposition,
-    heptagon_decomposition_check,
     integral_hull_proposition_check,
     pip_b1,
     pip_b2,

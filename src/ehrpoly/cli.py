@@ -13,8 +13,9 @@ only its options, after its name and spelled in full; a verify suite's
 options are its function's parameters.
 
 Exit codes: 0 success, 1 verification failure / counterexample found,
-2 usage or parse error (argparse exits 2 itself on an option the target
-does not take or a required one left out).  Output is canonical JSON
+2 usage, parse or invalid-input error, Ehrhart tables too large for
+memory included (argparse exits 2 itself on an option the target does
+not take or a required one left out).  Output is canonical JSON
 (sorted keys), identical bytes for identical invocations.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from . import constructions as cons
 from . import jsonio, svg, verify
 from .ehrhart import VerificationFailure, ehrhart, mcmullen_indices
-from .geometry import area, boundary_count, lattice_count
+from .geometry import area, boundary_count, denominator, lattice_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -55,7 +56,11 @@ def _read_document(path: str):
 def cmd_analyze(args) -> int:
     doc = _read_document(args.input)
     P = jsonio.polygon_from_json(doc, "polygon")
-    q = ehrhart(P)
+    try:
+        q = ehrhart(P)
+    except MemoryError:
+        raise ValueError(f"denominator D = {denominator(P)}: the Ehrhart tables of D "
+                         f"entries do not fit in memory") from None
     ps = q.period_sequence()
     b = boundary_count(P, 1)
     I = lattice_count(P, 1) - b

@@ -253,10 +253,6 @@ def constant_coefficient_of_interval(s: int, n: int) -> Fraction:
     return Fraction(math.floor(Fraction(n, s))) - Fraction(n, s) + 1
 
 
-def heptagon_decomposition_check(s: int) -> bool:
-    return all(heptagon_decomposition(s)["checks"].values())
-
-
 def triangle_q(anchor, t: int) -> Polygon:
     """Thin triangle with period sequence (1, 1, t) for t >= 2.
 

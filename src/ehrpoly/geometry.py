@@ -7,13 +7,12 @@ exact.  A polygon stores its vertices once as integers over their common
 denominator Q, and builds their `Fraction`s on each read of `vertices`.
 Its validity check, convex hulls and unions, dilates, translates, areas,
 containment, lattice and boundary counts, and the lattice points of
-segments, boundaries and dilates run on integers.  One monotone chain
-(`_monotone_chain`) builds every hull and accepts a vertex list iff the
-list is its own hull; one lattice-line formula (`_line`, which
-`_lattice_line` extends by a start point) serves every segment and edge
-period; one edge test (`_edge_sides`) places points against edges; one
-check (`_require_int`) guards every integer parameter, and one (`_pair`)
-every single point.  Hulls, unions,
+dilates run on integers.  One monotone chain (`_monotone_chain`) builds
+every hull and accepts a vertex list iff the list is its own hull; one
+lattice-line formula (`_line`, which `_lattice_line` extends by a start
+point) serves every segment and edge period; one edge test (`_edge_sides`)
+places points against edges; one check (`_require_int`) guards every
+integer parameter, and one (`_pair`) every single point.  Hulls, unions,
 dilates and translates build their polygons from integers through one
 unchecked constructor (`Polygon._from_scaled`).
 
@@ -382,35 +381,6 @@ def _segment_count(line: tuple, Q: int, n: int, closed: bool) -> int:
     return n * (k + g) // Q - lo // Q
 
 
-def segment_lattice_count(a: Point, b: Point) -> int:
-    """Number of integer points on the closed segment [a, b], a != b."""
-    a, b = _pair(a), _pair(b)
-    if a == b:
-        raise ZeroVector("degenerate segment")
-    Q, (A, B) = _scale((a, b))
-    return _segment_count(_lattice_line(A, B), Q, 1, closed=True)
-
-
-def segment_lattice_points(a: Point, b: Point) -> list[tuple[int, int]]:
-    """All integer points on the closed segment [a, b], in order from a to b."""
-    a, b = _pair(a), _pair(b)
-    if a == b:
-        raise ZeroVector("degenerate segment")
-    Q, (A, B) = _scale((a, b))
-    return _segment_points(Q, A, B)
-
-
-def _segment_points(Q: int, A: tuple[int, int], B: tuple[int, int]) -> list[tuple[int, int]]:
-    """Integer points on the closed segment from A/Q to B/Q (A != B integer
-    points), in order from A/Q."""
-    c, k, g, u, v = _lattice_line(A, B)
-    if c % Q:
-        return []
-    # the point with parameter s is A/Q + (s - k/Q) * (u, v)
-    return [((A[0] + (s * Q - k) * u) // Q, (A[1] + (s * Q - k) * v) // Q)
-            for s in range(-(-k // Q), (k + g) // Q + 1)]
-
-
 # ---------------------------------------------------------------------------
 # lattice point counting in dilates
 
@@ -593,16 +563,6 @@ def boundary_count(P: Polygon, n: int) -> int:
     return sum(_segment_count(line, Q, n, closed=False) for line in _edge_lines(P))
 
 
-def boundary_points(P: Polygon, n: int = 1) -> list[tuple[int, int]]:
-    """The lattice points on the boundary of nP, sorted."""
-    _require_int("n", n, 1)
-    Q, V = P._Q, [(n * x, n * y) for x, y in P._V]
-    pts: set[tuple[int, int]] = set()
-    for a, b in zip(V, V[1:] + V[:1]):
-        pts.update(_segment_points(Q, a, b))
-    return sorted(pts)
-
-
 def interior_count(P: Polygon, n: int) -> int:
     return lattice_count(P, n) - boundary_count(P, n)
 
@@ -632,10 +592,6 @@ class IntegralHull:
             self.dim = len(ends) - 1
             self.polygon = None
             self.vertices = tuple(point(x, y) for x, y in ends)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.dim < 2
 
     def __repr__(self) -> str:
         if self.polygon is not None:

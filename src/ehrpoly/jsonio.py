@@ -4,7 +4,9 @@ All numbers that could be non-integral rationals are serialized as decimal
 strings so output is byte-identical across platforms and arbitrary
 precision survives the round trip:
 
-* coordinate: ``["num", "den"]`` (two decimal strings, den > 0, reduced)
+* coordinate: ``["num", "den"]`` (two decimal strings, den > 0, reduced);
+  read back, each is a JSON integer or ASCII digits with an optional
+  leading ``-``
 * vertex:     ``[x, y]`` of two coordinates
 * polygon:    ``{"vertices": [vertex, ...]}``
 * region:     polygon plus ``"removed": [{"open": vertex, "closed": vertex}]``
@@ -41,17 +43,24 @@ def fraction_to_ratio(f: Fraction) -> str:
 
 
 def _parse_int(s, path: str) -> int:
+    """A JSON integer, or a string `-?[0-9]+`: not the underscores, spaces,
+    `+` signs and non-ASCII digits that `int` also reads."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ParseError(path, f"expected an integer string, got {s!r}")
-    try:
-        return int(s)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and len(s) > limit:
-            # too long for int() to read, and too long to echo
-            raise ParseError(path, f"a string of {len(s)} characters, longer than the "
-                                   f"{limit} digits an integer may have") from None
-        raise ParseError(path, f"not an integer: {s!r}") from None
+    if isinstance(s, int):
+        return s
+    digits = s.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(s)
+        except ValueError:  # more digits than int() converts
+            pass
+    limit = sys.get_int_max_str_digits()
+    if limit and len(s) > limit:
+        # too long for int() to read, and too long to echo
+        raise ParseError(path, f"a string of {len(s)} characters, longer than the "
+                               f"{limit} digits an integer may have")
+    raise ParseError(path, f"not an integer: {s!r}")
 
 
 def pair_to_fraction(obj, path: str) -> Fraction:
@@ -104,10 +113,12 @@ def polygon_from_json(obj, path: str = "polygon") -> Polygon:
 
 
 def region_to_json(R: SemiOpenRegion) -> dict:
+    """The polygon, and each removed segment's ends from `_a` and `_b` over `_Q`."""
     out = polygon_to_json(R.closed)
     if R.removed:
         out["removed"] = [
-            {"open": vertex_to_json(s.open_end), "closed": vertex_to_json(s.closed_end)}
+            {end: [_coordinate_to_json(x, s._Q), _coordinate_to_json(y, s._Q)]
+             for end, (x, y) in (("open", s._a), ("closed", s._b))}
             for s in R.removed]
     return out
 

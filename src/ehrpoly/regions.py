@@ -260,12 +260,5 @@ class RegionUnion:
                 if _segments_overlap(rem, seam):
                     raise InvalidRegion("removed segment overlaps the union seam")
 
-    @property
-    def seams(self) -> tuple[tuple[Point, Point], ...]:
-        return ((self._seam.open_end, self._seam.closed_end),)
-
-    def count(self, n: int) -> int:
-        return region_count(self, n)
-
     def __repr__(self) -> str:
         return f"RegionUnion({list(self.pieces)})"

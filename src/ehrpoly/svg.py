@@ -148,7 +148,3 @@ def render_panels(panels: list[Panel]) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{W}" height="{H}" viewBox="0 0 {W} {H}">')
     return "\n".join([head, *frags, "</svg>"]) + "\n"
-
-
-def render_region(region, label: str = "", splitting_lines=()) -> str:
-    return render_panels([Panel(region, label, splitting_lines)])

@@ -5,7 +5,6 @@ a failed assertion marks the criterion failed.  Shared fixtures: `corpus200`
 (200 seeded random polygons, coordinate denominators <= 6, coordinates in
 [-5, 5]) and `search1000` (seeded 1000-trial PIP search).
 """
-import math
 from fractions import Fraction as F
 
 from ehrpoly import (
@@ -20,7 +19,6 @@ from ehrpoly import (
     glued,
     heptagon,
     heptagon_decomposition,
-    heptagon_decomposition_check,
     integral_hull_proposition_check,
     interior_count,
     lattice_count,
@@ -30,10 +28,8 @@ from ehrpoly import (
     pip_b1,
     pip_b2,
     pip_b2_half,
-    point,
     region_count,
     segment_count,
-    segment_lattice_count,
     triangle_q,
 )
 
@@ -110,8 +106,8 @@ def test_criterion_04_prescribed_period_sequences():
 
 def test_criterion_05_heptagon_decomposition():
     for s in range(2, 7):
-        assert heptagon_decomposition_check(s), s
         dec = heptagon_decomposition(s)
+        assert all(dec["checks"].values()), s
         qp_H, _ = dec["quasi"]
         assert all(c == 1 for c in qp_H.c0)
         h = dec["half_open"]

@@ -156,6 +156,29 @@ def test_a_number_too_long_to_read_exits_2_naming_the_field(tmp_path, capsys, nu
     assert err.startswith(message) and len(err) < 200
 
 
+@pytest.mark.parametrize("number", ["1_0", " 2", "+3", "\u0661"],
+                         ids=["underscore", "space", "plus", "arabic-indic"])
+def test_a_coordinate_that_is_not_ascii_decimal_exits_2_naming_the_field(tmp_path, capsys, number):
+    # int() reads each of these; a coordinate string is -?[0-9]+ only
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"vertices": [[[number, "1"], ["0", "1"]], [["5", "1"], ["0", "1"]],
+                                          [["0", "1"], ["5", "1"]]]}))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2 and out == ""
+    assert err == f"error: polygon.vertices[0][0][0]: not an integer: {number!r}\n"
+
+
+def test_analyze_out_of_memory_exits_2_naming_the_modulus(tmp_path, capsys, monkeypatch):
+    def no_memory(P):
+        raise MemoryError
+    monkeypatch.setattr("ehrpoly.cli.ehrhart", no_memory)
+    f = tmp_path / "p.json"
+    f.write_text(dumps(polygon_to_json(Polygon([(0, 0), (3, F(1, 7)), (0, 2)]))))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: denominator D = 7: ") and "memory" in err
+
+
 def test_analyze_of_a_modulus_no_table_can_hold_exits_2(tmp_path, capsys):
     f = tmp_path / "thin.json"
     f.write_text(dumps(polygon_to_json(Polygon([(0, 0), (1, 0), (0, F(1, 10**20))]))))

@@ -3,8 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from ehrpoly import (
-    ConstructionMismatch,
-    GlueFailure,
     HalfOpenSegment,
     Polygon,
     area,
@@ -16,7 +14,6 @@ from ehrpoly import (
     heptagon,
     heptagon_anchor,
     heptagon_decomposition,
-    heptagon_decomposition_check,
     integral_hull_proposition_check,
     interior_count,
     is_pip,
@@ -133,7 +130,7 @@ class TestHeptagon:
 
     def test_decomposition_checks(self):
         for s in (2, 3, 5):
-            assert heptagon_decomposition_check(s)
+            assert all(heptagon_decomposition(s)["checks"].values())
 
     def test_decomposition_details(self):
         dec = heptagon_decomposition(3)
@@ -240,7 +237,7 @@ class TestIntegralHullProposition:
         applicable, holds = integral_hull_proposition_check(P)
         assert applicable and holds
 
-    def test_kite_hull_is_degenerate(self):
+    def test_kite_hull_is_not_two_dimensional(self):
         applicable, _ = integral_hull_proposition_check(pip_b2(1))
         assert not applicable
 

@@ -1,5 +1,6 @@
-"""The lint step: every name a module of the package imports is used, and
-every private function or method of the package is referenced in it.
+"""The lint step: every name a module of the package, a test module or a
+demo imports is used, and every private function or method of the package
+is referenced in it.
 
 Only `__init__.py` imports names for others to use (its re-exports), so it
 is the one module left out of the import check.
@@ -9,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ehrpoly"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ehrpoly"
+# the modules the import check reads, by test id
+LINTED = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+LINTED.update({f"{d}/{p.name}": p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py")})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,10 +51,9 @@ def test_detects_unused_import():
     assert unused_imports(source) == ["Sequence (line 2)"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(LINTED))
 def test_no_unused_imports(path):
-    assert unused_imports((SRC / path).read_text()) == []
+    assert unused_imports(LINTED[path].read_text()) == []
 
 
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:

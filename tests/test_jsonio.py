@@ -48,6 +48,15 @@ def test_polygons_are_written_as_their_fraction_vertices_would_be():
             dumps({"vertices": [vertex_to_json(v) for v in P.vertices]})
 
 
+def test_removed_segments_are_written_as_their_fraction_ends_would_be():
+    regions = [step.region for I in range(1, 7) for step in pip_b1(I).steps]
+    assert any(R.removed for R in regions)
+    for R in regions:
+        assert region_to_json(R).get("removed", []) == [
+            {"open": vertex_to_json(s.open_end), "closed": vertex_to_json(s.closed_end)}
+            for s in R.removed]
+
+
 def test_huge_integers_survive():
     big = 10 ** 40
     P = Polygon([(0, 0), (big, 0), (0, F(1, big))])

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ehrpoly import Polygon, heptagon_decomposition, pip_b1, region
 from ehrpoly.cli import main
-from ehrpoly.svg import Panel, _num, render_panels, render_region
+from ehrpoly.svg import Panel, _num, render_panels
 from test_geometry import fractions_made
 
 
@@ -28,13 +28,13 @@ def test_number_formatting_reads_only_the_value(n, d):
     assert _num(n, d) == _num(3 * n, 3 * d) == want
 
 
-def test_render_region_structure():
+def test_render_panels_structure():
     square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    svg = render_region(square, label="unit square")
+    svg = render_panels([Panel(square, "unit square")])
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
     assert svg.count('fill="#ffffff" stroke="#1f3552"') == 4   # boundary rings
     assert "unit square" in svg
-    assert render_region(square, label="unit square") == svg
+    assert render_panels([Panel(square, "unit square")]) == svg
 
 
 def test_removed_segment_and_splitting_line_styles():
@@ -49,7 +49,7 @@ def test_removed_segment_and_splitting_line_styles():
 
 def test_interior_points_solid():
     fat = Polygon([(0, 0), (3, 0), (3, 3), (0, 3)])
-    svg = render_region(fat)
+    svg = render_panels([Panel(fat)])
     assert svg.count('fill="#1a1a1a"') == 4   # (1,1),(1,2),(2,1),(2,2)
 
 
