@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import constructions as cons
 from . import jsonio, svg, verify
 from .ehrhart import VerificationFailure, ehrhart, mcmullen_indices
-from .geometry import area, boundary_count, denominator, lattice_count
+from .geometry import area, boundary_count, lattice_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,11 +56,7 @@ def _read_document(path: str):
 def cmd_analyze(args) -> int:
     doc = _read_document(args.input)
     P = jsonio.polygon_from_json(doc, "polygon")
-    try:
-        q = ehrhart(P)
-    except MemoryError:
-        raise ValueError(f"denominator D = {denominator(P)}: the Ehrhart tables of D "
-                         f"entries do not fit in memory") from None
+    q = ehrhart(P)
     ps = q.period_sequence()
     b = boundary_count(P, 1)
     I = lattice_count(P, 1) - b

@@ -75,11 +75,20 @@ class ConstructionTrace:
         return max(region_denominator(s.region) for s in self.steps)
 
     def counts_preserved(self) -> bool:
-        """Every step has the same lattice count for all n up to
-        3 * `max_denominator()`."""
-        for n in range(1, 3 * self.max_denominator() + 1):
-            ref = region_count(self.steps[0].region, n)
-            if any(region_count(s.region, n) != ref for s in self.steps[1:]):
+        """Every step has the lattice count of the first at every n >= 1.
+
+        Read from the steps' Ehrhart tables, which reciprocity checked when
+        `ehrhart` built them; nothing is counted.  Two quasi-polynomials
+        agree at every n exactly when their coefficients agree at every
+        residue r modulo the lcm of their moduli, a[r] den' = a'[r'] den
+        with r and r' the residues of r modulo each modulus: on each residue
+        class both are polynomials in n.
+        """
+        p = self.steps[0].quasi
+        for q in (s.quasi for s in self.steps[1:]):
+            if any(x[r % p.modulus] * q.den != y[r % q.modulus] * p.den
+                   for x, y in zip((p.a2, p.a1, p.a0), (q.a2, q.a1, q.a0))
+                   for r in range(math.lcm(p.modulus, q.modulus))):
                 return False
         return True
 

@@ -208,7 +208,8 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     n = 1..D.  Reciprocity checks the count at each n against the count at
     D - n; n = D is checked by c0(0) = 1 and, for even D, n = D/2 by one
     more count at 3D/2.  Any mismatch raises VerificationFailure, and a D
-    too large for a table to hold, ValueError.
+    too large for a table to hold, or whose tables do not fit in memory,
+    ValueError naming D.
     """
     polys, removed, seams = _pieces(R)
     # seams join the removed segments: a closed seam has the c1 sawtooth and
@@ -218,11 +219,15 @@ def ehrhart(R) -> EhrhartQuasiPolynomial:
     _require_table_size(D)
     den = 2 * D * D
     a2 = _area_numerator(D, polys)
-    a1 = _linear_numerators(D, polys, segs)
-    a0 = [0] * D
+    try:
+        a1 = _linear_numerators(D, polys, segs)
+        defects = _defects(D, polys, segs)
+        a0 = [0] * D
+    except MemoryError:
+        raise ValueError(f"denominator D = {D}: the Ehrhart tables of D entries "
+                         f"do not fit in memory") from None
     for n in range(1, D + 1):
         a0[n % D] = den * region_count(R, n) - a2 * n * n - a1[n % D] * n
-    defects = _defects(D, polys, segs)
     for n in range(1, D + 1):
         i, j, sq = n % D, -n % D, a2 * n * n
         # a0[i] + sq + a1[i] n is den times the count at n, by the loop above

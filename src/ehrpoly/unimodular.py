@@ -27,9 +27,16 @@ and chained on their integer ends over their denominator the same way.
 one denominator by the same two formulas: `verify transforms` runs its
 direction checks through it and `_map_scaled`, and the `apply` methods scale
 a single point and use them too.
+
+`iterate` runs k equal shears as one map application.  Each side map of a
+`skew_plus`, `skew_minus` or `affine_skew` map is a determinant-1 shear S
+fixing the splitting line pointwise, so its k-th power is
+x |-> x + k (S(x) - x), and a run of k shears costs one `apply_piecewise`
+whatever k is.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -148,13 +155,19 @@ class PiecewiseUnimodularMap:
                 raise ValueError(f"{name} must be an AffineUnimodular, got {type(m).__name__}")
         object.__setattr__(self, "anchor", _pair(self.anchor))
         object.__setattr__(self, "direction", primitive(self.direction))
-        (u, v), (d, ((x, y),)) = self.direction, _scale([self.anchor])
+        (u, v), (d, pts) = self.direction, self._line_points()
         # with the anchor at (x, y) / d, the line is u*Y - v*X = c / d
+        x, y = pts[0]
         object.__setattr__(self, "_line", (u * y - v * x, d))
         # agreement at two distinct line points implies agreement on the line
-        pts = [(x, y), (x + d * u, y + d * v)]
         if _map_scaled(self.positive_side_map, d, pts) != _map_scaled(self.negative_side_map, d, pts):
             raise ValueError("side maps disagree on the splitting line")
+
+    def _line_points(self) -> tuple[int, list[tuple[int, int]]]:
+        """(d, [a, a + d r]): the anchor a / d and the point one direction
+        step r further, two points of the line as integer pairs over d."""
+        (u, v), (d, ((x, y),)) = self.direction, _scale([self.anchor])
+        return d, [(x, y), (x + d * u, y + d * v)]
 
     def _side(self, Q: int, p: tuple[int, int]) -> int:
         """The positive multiple Q d det(direction, p / Q - anchor), for an
@@ -400,14 +413,49 @@ def apply_disjoint(maps: Sequence[PiecewiseUnimodularMap], R):
     return _reassemble(mapped, seam)
 
 
+def _power(m: PiecewiseUnimodularMap, k: int) -> PiecewiseUnimodularMap:
+    """m^k, for a map whose side maps are determinant-1 shears fixing its
+    line pointwise: each side S becomes x |-> x + k (S(x) - x).
+
+    Such an S fixes the line's direction, so with determinant 1 both its
+    eigenvalues are 1 and S(x) - x = N (x - a) for a point a of the line and
+    N with N^2 = 0; S(x) - x is then the same at S(x), and the k-th power
+    moves x by k times it.  Any other map raises ValueError."""
+    d, pts = m._line_points()
+    # a copy keeps m's checked anchor, direction and line, where the powers
+    # still agree, without building the anchor's Fractions again
+    out = copy.copy(m)
+    for name in ("positive_side_map", "negative_side_map"):
+        S = getattr(m, name)
+        if S.det != 1 or _map_scaled(S, d, pts) != pts:
+            raise ValueError(f"iterate needs side maps that are determinant-1 shears "
+                             f"fixing the splitting line, and {name} is not one")
+        object.__setattr__(out, name, AffineUnimodular(
+            1 + k * (S.m00 - 1), k * S.m01, k * S.m10, 1 + k * (S.m11 - 1), k * S.tx, k * S.ty))
+    return out
+
+
 def iterate(m: PiecewiseUnimodularMap, k: int, R):
-    """k-fold composition of apply_piecewise; every intermediate image must
-    stay convex (it does in all the construction chains here)."""
+    """R pushed through m k times, as one apply_piecewise of m^k.
+
+    m's side maps must be determinant-1 shears that fix its splitting line
+    pointwise (the identity is one): every map skew_plus, skew_minus and
+    affine_skew build is.  Then m^k is one map of the same kind (`_power`),
+    so the cost does not grow with k; any other map raises ValueError.
+
+    Every image along the chain must be convex, and it suffices to look at
+    the last.  Each side keeps its halfplane and the chord that the line
+    cuts from a convex R stays fixed.  At each end of the chord, the turn of
+    the glued boundary after j shears is det(e_-, e_+) plus j times a
+    constant, for the boundary directions e_+ and e_- leaving that end on
+    either side: each shear adds a multiple of the line's direction to
+    them.  A turn that is convex at j = 0 and j = k is convex at every j in
+    between, so a non-convex image partway forces a non-convex final image,
+    and that raises InvalidRegion.
+    """
     _require_int("k", k, 1)
-    cur = R
-    for _ in range(k):
-        cur = apply_piecewise(m, cur)
-        if isinstance(cur, RegionUnion):
-            raise InvalidRegion("intermediate image became non-convex; "
-                                "iterate only supports convex chains")
-    return cur
+    _require_map("m", m)
+    out = apply_piecewise(_power(m, k), R)
+    if isinstance(out, RegionUnion):
+        raise InvalidRegion("the image is not convex; iterate only supports convex chains")
+    return out

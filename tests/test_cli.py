@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import inspect
 import json
 import re
@@ -168,15 +169,35 @@ def test_a_coordinate_that_is_not_ascii_decimal_exits_2_naming_the_field(tmp_pat
     assert err == f"error: polygon.vertices[0][0][0]: not an integer: {number!r}\n"
 
 
+def _tables_run_out_of_memory_above(monkeypatch, limit):
+    """Make the engine's first table allocation raise MemoryError, as it
+    does when memory runs out, for every modulus D above limit."""
+    engine = importlib.import_module("ehrpoly.ehrhart")
+    allocate = engine._linear_numerators
+
+    def no_memory(D, polys, segs):
+        if D > limit:
+            raise MemoryError
+        return allocate(D, polys, segs)
+    monkeypatch.setattr(engine, "_linear_numerators", no_memory)
+
+
 def test_analyze_out_of_memory_exits_2_naming_the_modulus(tmp_path, capsys, monkeypatch):
-    def no_memory(P):
-        raise MemoryError
-    monkeypatch.setattr("ehrpoly.cli.ehrhart", no_memory)
+    _tables_run_out_of_memory_above(monkeypatch, 0)
     f = tmp_path / "p.json"
     f.write_text(dumps(polygon_to_json(Polygon([(0, 0), (3, F(1, 7)), (0, 2)]))))
     code, out, err = run(capsys, "analyze", str(f))
     assert code == 2 and out == ""
     assert err.startswith("error: denominator D = 7: ") and "memory" in err
+
+
+def test_construct_pip_b1_out_of_memory_exits_2_naming_the_modulus(capsys, monkeypatch):
+    # the chain takes one map application per shear run, so a huge I reaches
+    # the tables of T3, with modulus D = 2(2I + 1), at once
+    _tables_run_out_of_memory_above(monkeypatch, 10**6)
+    code, out, err = run(capsys, "construct", "pip-b1", "--I", str(10**9))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: denominator D = {2 * (2 * 10**9 + 1)}: ") and "memory" in err
 
 
 def test_analyze_of_a_modulus_no_table_can_hold_exits_2(tmp_path, capsys):

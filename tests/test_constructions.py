@@ -1,10 +1,13 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
 
 from ehrpoly import (
+    EhrhartQuasiPolynomial,
     HalfOpenSegment,
     Polygon,
+    SemiOpenRegion,
     area,
     boundary_count,
     constant_coefficient_of_interval,
@@ -29,6 +32,8 @@ from ehrpoly import (
     scott_inequality_holds,
     triangle_q,
 )
+from ehrpoly.constructions import ConstructionTrace, TraceStep
+from ehrpoly.ehrhart import ehrhart
 from ehrpoly.geometry import DegenerateInput
 from ehrpoly.sampling import SplitMix64
 
@@ -107,6 +112,53 @@ class TestPipB1:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             pip_b1(-1)
+
+
+def counts_preserved_by_recount(trace: ConstructionTrace) -> bool:
+    """The oracle of `ConstructionTrace.counts_preserved`: every step has the
+    count of the first at n = 1..3 * `max_denominator()`."""
+    for n in range(1, 3 * trace.max_denominator() + 1):
+        ref = region_count(trace.steps[0].region, n)
+        if any(region_count(s.region, n) != ref for s in trace.steps[1:]):
+            return False
+    return True
+
+
+class TestCountsPreserved:
+    @pytest.mark.parametrize("I", range(1, 9))
+    def test_agrees_with_the_recount(self, I):
+        tr = pip_b1(I)
+        assert tr.counts_preserved() is counts_preserved_by_recount(tr) is True
+
+    @pytest.mark.parametrize("I", [1, 2, 5])
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_sees_a_step_with_another_ehrhart_function(self, I, index):
+        # the kite of b = 2 has the I of pip_b1(I) but not its counts
+        tr, kite = pip_b1(I), SemiOpenRegion(pip_b2(I))
+        steps = list(tr.steps)
+        steps[index] = TraceStep(steps[index].label, kite, ehrhart(kite))
+        swapped = ConstructionTrace(tuple(steps), tr.final)
+        assert swapped.counts_preserved() is counts_preserved_by_recount(swapped) is False
+
+    @pytest.mark.parametrize("table", range(3), ids=["c2", "c1", "c0"])
+    def test_sees_one_coefficient_changed_at_one_residue(self, table):
+        # T3 has the largest modulus of the chain, 2(2I + 1); its last residue
+        # is read only when the tables are compared modulo the lcm
+        tr = pip_b1(3)
+        steps, q = list(tr.steps), tr.steps[2].quasi
+        tables = [list(q.c2), list(q.c1), list(q.c0)]
+        tables[table][-1] += F(1, 7)
+        steps[2] = TraceStep("T3", steps[2].region, EhrhartQuasiPolynomial(q.modulus, *tables))
+        assert ConstructionTrace(tuple(steps), tr.final).counts_preserved() is False
+
+    def test_counts_nothing(self, monkeypatch):
+        traces = [pip_b1(I) for I in range(1, 9)]
+
+        def no_count(R, n):
+            raise AssertionError("counts_preserved counted")
+        for module in ("ehrpoly.constructions", "ehrpoly.regions", "ehrpoly.ehrhart"):
+            monkeypatch.setattr(importlib.import_module(module), "region_count", no_count)
+        assert all(tr.counts_preserved() for tr in traces)
 
 
 class TestHeptagon:

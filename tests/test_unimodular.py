@@ -30,6 +30,7 @@ from ehrpoly import (
     skew_minus,
     skew_plus,
 )
+from ehrpoly import unimodular
 from ehrpoly.ehrhart import region_denominator
 from ehrpoly.unimodular import IDENTITY
 from test_geometry import fractions_made, rational_polygons
@@ -329,16 +330,83 @@ class TestApplyPiecewiseProperties:
     @settings(max_examples=60, deadline=None)
     @given(rational_polygons(), piecewise_maps())
     def test_polygon_on_one_closed_side_maps_vertex_by_vertex(self, P, m):
-        # move P across the line until its lowest (highest) vertex is on it
-        (u, v), a = m.direction, m.anchor
-        heights = [u * (y - a[1]) - v * (x - a[0]) for x, y in P.vertices]
-        for h, sign in ((min(heights), 1), (max(heights), -1)):
-            w = F(h, u * u + v * v)
-            Q = P.translate((w * v, -w * u))
-            assert {m.side(p) for p in Q.vertices} == {0, sign}
+        for sign in (1, -1):
+            Q = _onto_one_closed_side(P, m, sign)
             amap = m.side_map(sign)
             assert apply_piecewise(m, Q) == SemiOpenRegion(
                 Polygon([amap.apply(p) for p in Q.vertices]))
+
+
+def _onto_one_closed_side(P: Polygon, m: PiecewiseUnimodularMap, sign: int) -> Polygon:
+    """P moved across m's line until its lowest (sign 1) or highest (sign -1)
+    vertex is on it, so that P lies on that closed side."""
+    (u, v), a = m.direction, m.anchor
+    heights = [u * (y - a[1]) - v * (x - a[0]) for x, y in P.vertices]
+    w = F(min(heights) if sign > 0 else max(heights), u * u + v * v)
+    Q = P.translate((w * v, -w * u))
+    assert {m.side(p) for p in Q.vertices} == {0, sign}
+    return Q
+
+
+def iterate_by_loop(m: PiecewiseUnimodularMap, k: int, R):
+    """The oracle of `iterate`: k calls of apply_piecewise, each image
+    required to be convex."""
+    for _ in range(k):
+        R = apply_piecewise(m, R)
+        if isinstance(R, RegionUnion):
+            raise InvalidRegion("intermediate image became non-convex")
+    return R
+
+
+class TestIterate:
+    @settings(max_examples=150, deadline=None)
+    @given(regions(), piecewise_maps(), st.integers(1, 7))
+    def test_matches_the_loop(self, R, m, k):
+        try:
+            want = iterate_by_loop(m, k, R)
+        except InvalidRegion:
+            with pytest.raises(InvalidRegion):
+                iterate(m, k, R)
+        else:
+            assert iterate(m, k, R) == want
+
+    @pytest.mark.parametrize("I", range(1, 9))
+    def test_matches_the_loop_on_both_shear_runs_of_pip_b1(self, I):
+        T1, T2, T3, P = (step.region for step in pip_b1(I).steps)
+        for m, start, end in ((skew_plus((0, -1)), T1, T2), (skew_plus((0, 1)), T3, P)):
+            assert iterate(m, 2 * I - 1, start) == iterate_by_loop(m, 2 * I - 1, start) == end
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polygons(), piecewise_maps(), st.integers(1, 7), st.sampled_from([1, -1]))
+    def test_matches_the_loop_on_one_closed_side(self, P, m, k, sign):
+        Q = _onto_one_closed_side(P, m, sign)
+        assert iterate(m, k, Q) == iterate_by_loop(m, k, Q)
+
+    @pytest.mark.parametrize("k", [1, 7, 10**6])
+    def test_makes_one_map_application_for_any_k(self, monkeypatch, k):
+        calls, apply = [], unimodular.apply_disjoint
+
+        def counted(maps, R):
+            calls.append(len(maps))
+            return apply(maps, R)
+        monkeypatch.setattr(unimodular, "apply_disjoint", counted)
+        # the unit square is on the closed side x >= 0 that the shear moves
+        out = iterate(skew_plus((0, -1)), k, SQUARE)
+        assert calls == [1]
+        assert out == SemiOpenRegion(Polygon([(0, 0), (1, -k), (1, 1 - k), (0, 1)]))
+
+    @pytest.mark.parametrize("sides, name", [
+        # both sides translate along the line y = 0 instead of fixing it
+        ((AffineUnimodular(1, 0, 0, 1, 1, 0),) * 2, "positive_side_map"),
+        # the reflection in y = 0 fixes the line but has determinant -1
+        ((IDENTITY, AffineUnimodular(1, 0, 0, -1)), "negative_side_map"),
+    ], ids=["translation along the line", "reflection in the line"])
+    def test_refuses_a_map_that_is_not_a_shear_of_its_line(self, sides, name):
+        m = PiecewiseUnimodularMap((0, 0), (1, 0), *sides)
+        with pytest.raises(ValueError, match=f"^iterate needs side maps that are determinant-1 "
+                                             f"shears fixing the splitting line, and {name} "
+                                             f"is not one$"):
+            iterate(m, 2, SQUARE)
 
 
 @st.composite
